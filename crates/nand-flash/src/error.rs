@@ -66,6 +66,13 @@ pub enum FlashError {
     DieFailed(DieAddr),
     /// The device ran out of spare blocks to remap grown bad blocks.
     OutOfSpareBlocks,
+    /// A page read back from flash does not parse as the on-page format its
+    /// reader expects (a header or node that overruns the page, or a
+    /// foreign tag).  Carries the logical page number.
+    CorruptPage {
+        /// Logical page number of the rejected page.
+        page: u64,
+    },
     /// The stack reported transient overload (a BUSY status): the request was
     /// deliberately shed by admission control rather than queued without
     /// bound.  Retrying later — after in-flight work drains — is expected to
@@ -111,6 +118,9 @@ impl std::fmt::Display for FlashError {
                 write!(f, "die {d:?} failed permanently (commands rejected)")
             }
             FlashError::OutOfSpareBlocks => write!(f, "device out of spare blocks"),
+            FlashError::CorruptPage { page } => {
+                write!(f, "page {page} does not parse as its on-page format")
+            }
             FlashError::Busy => write!(f, "stack overloaded (request shed; retry later)"),
         }
     }

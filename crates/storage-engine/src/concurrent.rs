@@ -758,14 +758,12 @@ impl Shared {
         now: SimInstant,
         rid: Rid,
     ) -> EngineResult<(Option<Vec<u8>>, SimInstant)> {
-        let heap = self
-            .catalog
-            .read()
+        let catalog = self.catalog.read();
+        let heap = catalog
             .table(table)
             .ok_or_else(|| FlashError::InvalidAddress {
                 what: format!("unknown table {table}"),
-            })?
-            .clone();
+            })?;
         let mut backend = self.backend.lock();
         let mut view = self.pool.view();
         Ok(heap.get(&mut view, backend.as_mut(), now, rid)?)
@@ -918,14 +916,12 @@ impl Shared {
         now: SimInstant,
         visit: &mut dyn FnMut(Rid, &[u8]),
     ) -> FlashResult<(u64, SimInstant)> {
-        let heap = self
-            .catalog
-            .read()
+        let catalog = self.catalog.read();
+        let heap = catalog
             .table(table)
             .ok_or_else(|| FlashError::InvalidAddress {
                 what: format!("unknown table {table}"),
-            })?
-            .clone();
+            })?;
         let mut ra = self.scan_prefetcher();
         let mut backend = self.backend.lock();
         let mut view = self.pool.view();
@@ -957,14 +953,12 @@ impl Shared {
         now: SimInstant,
         key: u64,
     ) -> FlashResult<(Option<u64>, SimInstant)> {
-        let tree = self
-            .catalog
-            .read()
+        let catalog = self.catalog.read();
+        let tree = catalog
             .index(index)
             .ok_or_else(|| FlashError::InvalidAddress {
                 what: format!("unknown index {index}"),
-            })?
-            .clone();
+            })?;
         let mut backend = self.backend.lock();
         let mut view = self.pool.view();
         tree.get(&mut view, backend.as_mut(), now, key)
@@ -978,14 +972,12 @@ impl Shared {
         hi: u64,
         visit: &mut dyn FnMut(u64, u64),
     ) -> FlashResult<(u64, SimInstant)> {
-        let tree = self
-            .catalog
-            .read()
+        let catalog = self.catalog.read();
+        let tree = catalog
             .index(index)
             .ok_or_else(|| FlashError::InvalidAddress {
                 what: format!("unknown index {index}"),
-            })?
-            .clone();
+            })?;
         let mut ra = self.scan_prefetcher();
         let mut backend = self.backend.lock();
         let mut view = self.pool.view();

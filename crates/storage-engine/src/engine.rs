@@ -491,8 +491,7 @@ impl StorageEngine {
             .table(table)
             .ok_or_else(|| FlashError::InvalidAddress {
                 what: format!("unknown table {table}"),
-            })?
-            .clone();
+            })?;
         Ok(heap.get(&mut self.pool, self.backend.as_mut(), now, rid)?)
     }
 
@@ -657,14 +656,13 @@ impl StorageEngine {
         now: SimInstant,
         visit: impl FnMut(Rid, &[u8]),
     ) -> FlashResult<(u64, SimInstant)> {
+        let mut ra = self.scan_prefetcher();
         let heap = self
             .catalog
             .table(table)
             .ok_or_else(|| FlashError::InvalidAddress {
                 what: format!("unknown table {table}"),
-            })?
-            .clone();
-        let mut ra = self.scan_prefetcher();
+            })?;
         heap.scan_with_readahead(&mut self.pool, self.backend.as_mut(), &mut ra, now, visit)
     }
 
@@ -706,8 +704,7 @@ impl StorageEngine {
             .index(index)
             .ok_or_else(|| FlashError::InvalidAddress {
                 what: format!("unknown index {index}"),
-            })?
-            .clone();
+            })?;
         tree.get(&mut self.pool, self.backend.as_mut(), now, key)
     }
 
@@ -722,14 +719,13 @@ impl StorageEngine {
         hi: u64,
         visit: impl FnMut(u64, u64),
     ) -> FlashResult<(u64, SimInstant)> {
+        let mut ra = self.scan_prefetcher();
         let tree = self
             .catalog
             .index(index)
             .ok_or_else(|| FlashError::InvalidAddress {
                 what: format!("unknown index {index}"),
-            })?
-            .clone();
-        let mut ra = self.scan_prefetcher();
+            })?;
         tree.range_with_readahead(&mut self.pool, self.backend.as_mut(), &mut ra, now, lo, hi, visit)
     }
 

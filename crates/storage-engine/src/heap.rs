@@ -4,6 +4,12 @@
 //! B+-tree ([`crate::btree`]).  Heap operations log redo records to the WAL
 //! before dirtying the page (write-ahead rule) and allocate pages through the
 //! free-space manager, so freed pages generate dead-page hints for NoFTL.
+//!
+//! Every operation opens its page as a [`SlottedPage`] view over the
+//! buffer-pool frame and reads or edits the bytes in place (the layout is
+//! defined in [`crate::page`]), with one pool access per page touched.  A
+//! page whose header does not fit the page is rejected with
+//! [`FlashError::CorruptPage`].
 
 use nand_flash::{FlashError, FlashResult};
 use serde::{Deserialize, Serialize};
@@ -85,14 +91,10 @@ impl HeapFile {
         // Try the cached page first, then allocate a fresh one.
         if let Some(page_id) = self.last_with_space {
             let (slot, t2) = pool.with_page_mut(backend, t, page_id, |bytes| {
-                let mut page = SlottedPage::from_bytes(bytes);
-                let slot = page.insert(record);
-                if slot.is_some() {
-                    bytes.copy_from_slice(&page.to_bytes());
-                }
-                slot
+                SlottedPage::open(bytes).map(|mut page| page.insert(record))
             })?;
             t = t2;
+            let slot = slot.ok_or(FlashError::CorruptPage { page: page_id })?;
             if let Some(slot) = slot {
                 let rid = Rid { page: page_id, slot };
                 let lsn = wal.append(LogRecord::Update {
@@ -108,14 +110,14 @@ impl HeapFile {
         }
         // Allocate and format a new page.
         let page_id = fsm.allocate().ok_or(FlashError::OutOfSpareBlocks)?;
-        let page_size = pool.page_size();
         let (slot, t2) = pool.new_page(backend, t, page_id, |bytes| {
-            let mut page = SlottedPage::new(page_id, page_size);
-            let slot = page.insert(record).expect("fresh page must fit one record");
-            bytes.copy_from_slice(&page.to_bytes());
-            slot
+            SlottedPage::format(bytes, page_id).insert(record)
         })?;
         t = t2;
+        let slot = slot.ok_or(FlashError::BufferSizeMismatch {
+            expected: pool.page_size(),
+            actual: record.len(),
+        })?;
         self.pages.push(page_id);
         self.last_with_space = Some(page_id);
         wal.append(LogRecord::Update {
@@ -136,10 +138,10 @@ impl HeapFile {
         now: SimInstant,
         rid: Rid,
     ) -> FlashResult<(Option<Vec<u8>>, SimInstant)> {
-        pool.with_page(backend, now, rid.page, |bytes| {
-            let page = SlottedPage::from_bytes(bytes);
-            page.get(rid.slot).map(|r| r.to_vec())
-        })
+        let (record, t) = pool.with_page(backend, now, rid.page, |bytes| {
+            SlottedPage::open(bytes).map(|page| page.get(rid.slot).map(<[u8]>::to_vec))
+        })?;
+        Ok((record.ok_or(FlashError::CorruptPage { page: rid.page })?, t))
     }
 
     /// Update the record at `rid` in place (the new value must fit the page;
@@ -157,14 +159,9 @@ impl HeapFile {
         record: &[u8],
     ) -> FlashResult<(Rid, SimInstant)> {
         let (updated, mut t) = pool.with_page_mut(backend, now, rid.page, |bytes| {
-            let mut page = SlottedPage::from_bytes(bytes);
-            let new_slot = page.update(rid.slot, record);
-            if new_slot.is_some() {
-                bytes.copy_from_slice(&page.to_bytes());
-            }
-            new_slot
+            SlottedPage::open(bytes).map(|mut page| page.update(rid.slot, record))
         })?;
-        if let Some(slot) = updated {
+        if let Some(slot) = updated.ok_or(FlashError::CorruptPage { page: rid.page })? {
             if slot != rid.slot {
                 // The record moved slots within its page (delete + compact +
                 // reinsert).  Log the tombstone of the old slot too, so WAL
@@ -203,13 +200,9 @@ impl HeapFile {
         rid: Rid,
     ) -> FlashResult<(bool, SimInstant)> {
         let (deleted, t) = pool.with_page_mut(backend, now, rid.page, |bytes| {
-            let mut page = SlottedPage::from_bytes(bytes);
-            let ok = page.delete(rid.slot);
-            if ok {
-                bytes.copy_from_slice(&page.to_bytes());
-            }
-            ok
+            SlottedPage::open(bytes).map(|mut page| page.delete(rid.slot))
         })?;
+        let deleted = deleted.ok_or(FlashError::CorruptPage { page: rid.page })?;
         if deleted {
             wal.append(LogRecord::Update {
                 txn,
@@ -267,15 +260,15 @@ impl HeapFile {
         for &page_id in &self.pages {
             t = ra.on_access(pool, backend, t, page_id)?;
             let (count, t2) = pool.with_page(backend, t, page_id, |bytes| {
-                let page = SlottedPage::from_bytes(bytes);
+                let page = SlottedPage::open(bytes)?;
                 let mut n = 0;
                 for (slot, record) in page.iter() {
                     visit(Rid { page: page_id, slot }, record);
                     n += 1;
                 }
-                n
+                Some(n)
             })?;
-            visited += count;
+            visited += count.ok_or(FlashError::CorruptPage { page: page_id })?;
             t = t2;
         }
         Ok((visited, t))
@@ -468,5 +461,51 @@ mod tests {
             assert_eq!(value.unwrap(), *expected);
         }
         assert!(c.pool.stats().evictions > 0);
+    }
+
+    #[test]
+    fn each_operation_makes_one_pool_access_per_page_touched() {
+        let mut c = setup();
+        let mut heap = HeapFile::new("t");
+        let accesses = |c: &Ctx| c.pool.stats().hits + c.pool.stats().misses;
+        let step = |c: &mut Ctx, expected: u64, what: &str, op: &mut dyn FnMut(&mut Ctx)| {
+            let before = accesses(c);
+            op(c);
+            assert_eq!(accesses(c) - before, expected, "{what}");
+        };
+        let mut rid = Rid { page: 0, slot: 0 };
+        step(&mut c, 1, "first insert formats a page", &mut |c| {
+            rid = heap
+                .insert(&mut c.pool, &mut c.backend, &mut c.fsm, &mut c.wal, 1, 0, &[1; 100])
+                .unwrap()
+                .0;
+        });
+        step(&mut c, 1, "insert into the cached page", &mut |c| {
+            heap.insert(&mut c.pool, &mut c.backend, &mut c.fsm, &mut c.wal, 1, 0, &[2; 100])
+                .unwrap();
+        });
+        step(&mut c, 1, "get", &mut |c| {
+            heap.get(&mut c.pool, &mut c.backend, 0, rid).unwrap();
+        });
+        step(&mut c, 1, "grow-update with compaction, same page", &mut |c| {
+            rid = heap
+                .update(&mut c.pool, &mut c.backend, &mut c.fsm, &mut c.wal, 1, 0, rid, &[3; 200])
+                .unwrap()
+                .0;
+        });
+        let page = rid.page;
+        let image = c.pool.with_page(&mut c.backend, 0, page, |b| b.to_vec()).unwrap().0;
+        step(&mut c, 2, "insert that does not fit: cached page, then a new page", &mut |c| {
+            heap.insert(&mut c.pool, &mut c.backend, &mut c.fsm, &mut c.wal, 1, 0, &[4; 4000])
+                .unwrap();
+        });
+        let after = c.pool.with_page(&mut c.backend, 0, page, |b| b.to_vec()).unwrap().0;
+        assert_eq!(after, image, "a record that does not fit leaves the page as it was");
+        step(&mut c, 1, "delete", &mut |c| {
+            heap.delete(&mut c.pool, &mut c.backend, &mut c.wal, 1, 0, rid).unwrap();
+        });
+        step(&mut c, 2, "scan reads each page once", &mut |c| {
+            heap.scan(&mut c.pool, &mut c.backend, 0, |_, _| {}).unwrap();
+        });
     }
 }

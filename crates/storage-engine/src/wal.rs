@@ -28,7 +28,6 @@
 //! unambiguously.  `page_seq` is the monotone log-page counter, so a stale
 //! page from an earlier lap of the (wrapped) segment terminates the scan.
 
-use bytes::{Buf, BufMut};
 use nand_flash::FlashResult;
 use sim_utils::time::SimInstant;
 
@@ -98,13 +97,22 @@ impl LogRecord {
         }
     }
 
-    /// Serialize to a length-prefixed byte record.
+    /// Serialize to a length-prefixed byte record: `body_len (u32 LE)`, then
+    /// the body `tag (u8)` followed by the kind's fields, all little-endian:
+    /// `txn (u64)` for begin/commit/abort; `txn (u64) | page (u64) | slot
+    /// (u16) | len (u32) | bytes` for an update; nothing for a checkpoint.
     pub fn encode(&self) -> Vec<u8> {
-        let mut body = Vec::new();
-        body.put_u8(self.kind_tag());
+        let body_len = 1 + match self {
+            LogRecord::Begin { .. } | LogRecord::Commit { .. } | LogRecord::Abort { .. } => 8,
+            LogRecord::Update { bytes, .. } => 8 + 8 + 2 + 4 + bytes.len(),
+            LogRecord::Checkpoint => 0,
+        };
+        let mut out = Vec::with_capacity(4 + body_len);
+        out.extend_from_slice(&(body_len as u32).to_le_bytes());
+        out.push(self.kind_tag());
         match self {
             LogRecord::Begin { txn } | LogRecord::Commit { txn } | LogRecord::Abort { txn } => {
-                body.put_u64_le(*txn);
+                out.extend_from_slice(&txn.to_le_bytes());
             }
             LogRecord::Update {
                 txn,
@@ -112,59 +120,77 @@ impl LogRecord {
                 slot,
                 bytes,
             } => {
-                body.put_u64_le(*txn);
-                body.put_u64_le(*page);
-                body.put_u16_le(*slot);
-                body.put_u32_le(bytes.len() as u32);
-                body.extend_from_slice(bytes);
+                out.extend_from_slice(&txn.to_le_bytes());
+                out.extend_from_slice(&page.to_le_bytes());
+                out.extend_from_slice(&slot.to_le_bytes());
+                out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+                out.extend_from_slice(bytes);
             }
             LogRecord::Checkpoint => {}
         }
-        let mut out = Vec::with_capacity(body.len() + 4);
-        out.put_u32_le(body.len() as u32);
-        out.extend_from_slice(&body);
         out
     }
 
     /// Decode one record from the front of `data`; returns the record and the
-    /// number of bytes consumed, or `None` for a truncated/empty record.
+    /// number of bytes consumed, or `None` for a truncated, empty or
+    /// malformed record (the body must hold every field its tag implies).
     pub fn decode(data: &[u8]) -> Option<(LogRecord, usize)> {
-        if data.len() < 4 {
+        let mut cursor = Cursor(data);
+        let len = cursor.u32()? as usize;
+        if len == 0 {
             return None;
         }
-        let mut cursor = data;
-        let len = cursor.get_u32_le() as usize;
-        if len == 0 || cursor.len() < len {
-            return None;
-        }
-        let mut body = &cursor[..len];
-        let tag = body.get_u8();
-        let record = match tag {
-            1 => LogRecord::Begin {
-                txn: body.get_u64_le(),
-            },
+        let mut body = Cursor(cursor.take(len)?);
+        let record = match body.take(1)?[0] {
+            1 => LogRecord::Begin { txn: body.u64()? },
             2 => {
-                let txn = body.get_u64_le();
-                let page = body.get_u64_le();
-                let slot = body.get_u16_le();
-                let blen = body.get_u32_le() as usize;
+                let txn = body.u64()?;
+                let page = body.u64()?;
+                let slot = body.u16()?;
+                let blen = body.u32()? as usize;
                 LogRecord::Update {
                     txn,
                     page,
                     slot,
-                    bytes: body[..blen].to_vec(),
+                    bytes: body.take(blen)?.to_vec(),
                 }
             }
-            3 => LogRecord::Commit {
-                txn: body.get_u64_le(),
-            },
-            4 => LogRecord::Abort {
-                txn: body.get_u64_le(),
-            },
+            3 => LogRecord::Commit { txn: body.u64()? },
+            4 => LogRecord::Abort { txn: body.u64()? },
             5 => LogRecord::Checkpoint,
             _ => return None,
         };
         Some((record, 4 + len))
+    }
+}
+
+/// Bounds-checked little-endian reader over a record.
+struct Cursor<'a>(&'a [u8]);
+
+impl<'a> Cursor<'a> {
+    fn take(&mut self, n: usize) -> Option<&'a [u8]> {
+        if self.0.len() < n {
+            return None;
+        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Some(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
+        self.take(N)?.try_into().ok()
+    }
+
+    fn u16(&mut self) -> Option<u16> {
+        self.array().map(u16::from_le_bytes)
+    }
+
+    fn u32(&mut self) -> Option<u32> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> Option<u64> {
+        self.array().map(u64::from_le_bytes)
     }
 }
 
@@ -662,6 +688,38 @@ mod tests {
         assert!(LogRecord::decode(&enc[..2]).is_none());
         assert!(LogRecord::decode(&[]).is_none());
         assert!(LogRecord::decode(&[0, 0, 0, 0]).is_none());
+        // A body shorter than the fields its tag implies.
+        assert!(LogRecord::decode(&[1, 0, 0, 0, 2]).is_none());
+        let mut update = LogRecord::Update {
+            txn: 1,
+            page: 2,
+            slot: 3,
+            bytes: b"abc".to_vec(),
+        }
+        .encode();
+        update[23..27].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(LogRecord::decode(&update).is_none());
+    }
+
+    #[test]
+    fn record_bytes_follow_the_documented_layout() {
+        let update = LogRecord::Update {
+            txn: 0x0102,
+            page: 9,
+            slot: 4,
+            bytes: b"xy".to_vec(),
+        };
+        let mut expected = vec![25, 0, 0, 0, 2];
+        expected.extend_from_slice(&0x0102u64.to_le_bytes());
+        expected.extend_from_slice(&9u64.to_le_bytes());
+        expected.extend_from_slice(&4u16.to_le_bytes());
+        expected.extend_from_slice(&2u32.to_le_bytes());
+        expected.extend_from_slice(b"xy");
+        assert_eq!(update.encode(), expected);
+        assert_eq!(LogRecord::Checkpoint.encode(), vec![1, 0, 0, 0, 5]);
+        let mut commit = vec![9, 0, 0, 0, 3];
+        commit.extend_from_slice(&77u64.to_le_bytes());
+        assert_eq!(LogRecord::Commit { txn: 77 }.encode(), commit);
     }
 
     #[test]

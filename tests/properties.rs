@@ -161,7 +161,7 @@ proptest! {
         }
         let bytes = page.to_bytes();
         prop_assert_eq!(bytes.len(), 4096);
-        let decoded = SlottedPage::from_bytes(&bytes);
+        let decoded = SlottedPage::from_bytes(&bytes).expect("a written page reopens");
         for (slot, expected) in &stored {
             prop_assert_eq!(decoded.get(*slot).unwrap(), expected.as_slice());
         }

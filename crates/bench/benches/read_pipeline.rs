@@ -157,7 +157,7 @@ fn read_latency_under_gc(gc_pressure: bool) -> (f64, u64, u64, u64) {
 /// SATA2-NCQ link (32 outstanding, 20 µs per command) or a native link
 /// (1024 outstanding, 2 µs).  Device queue depth 8 in both cases — the gap
 /// is pure host-interface queueing plus protocol overhead, the §3.2
-/// argument the Figure 4 sweep inherits through `NOFTL_ASYNC`.
+/// argument behind the Figure 4 depth x link sweep.
 fn host_link_read_virtual(link: HostLink) -> u64 {
     let geometry = FlashGeometry::with_dies(DIES, 64, 16, 4096);
     let device = NandDevice::new(DeviceConfig::new(geometry));

@@ -11,8 +11,8 @@
 //!   can quote them deterministically;
 //! * **real time** — criterion ns/iter of the host-side paths.
 //!
-//! Every engine is configured explicitly (no `NOFTL_*` environment
-//! dependence), so the smoke runs are bit-identical across CI legs.
+//! Every engine is configured explicitly, so the smoke runs are
+//! bit-identical from run to run.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use nand_flash::FlashGeometry;

@@ -3,9 +3,11 @@
 //! trace-driven (TPC-C, TPC-B, TPC-E).
 //!
 //! Usage: `cargo run --release -p noftl-bench --bin fig3_gc_overhead [--full]`
+//! (honours the `NOFTL_*` knobs)
 
 use noftl_bench::gc_overhead::{render_table, run_gc_overhead};
 use noftl_bench::setup::Scale;
+use storage_engine::backend::Knobs;
 
 fn main() {
     let scale = if std::env::args().any(|a| a == "--full") {
@@ -14,7 +16,7 @@ fn main() {
         Scale::Quick
     };
     eprintln!("recording in-memory traces and replaying against FASTer / NoFTL ({scale:?})...");
-    let rows = run_gc_overhead(scale);
+    let rows = run_gc_overhead(scale, &Knobs::from_env());
     println!("{}", render_table(&rows));
     for row in &rows {
         println!(

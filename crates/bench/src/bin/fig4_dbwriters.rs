@@ -6,13 +6,16 @@
 //!
 //! Usage:
 //!   `cargo run --release -p noftl-bench --bin fig4_dbwriters [tpcc|tpcb] [--full]`
+//!   (the die-scaling sweep honours the `NOFTL_*` knobs)
 
 use noftl_bench::dbwriters::{
     render_depth_link_table, render_table, run_dbwriter_scaling, run_depth_link_sweep,
 };
 use noftl_bench::setup::{Benchmark, Scale};
+use storage_engine::backend::Knobs;
 
 fn main() {
+    let knobs = Knobs::from_env();
     let args: Vec<String> = std::env::args().collect();
     let scale = if args.iter().any(|a| a == "--full") {
         Scale::Full
@@ -32,11 +35,11 @@ fn main() {
     };
     for b in benchmarks {
         eprintln!("running {} die-scaling sweep ({scale:?})...", b.name());
-        let result = run_dbwriter_scaling(b, scale, &die_counts);
+        let result = run_dbwriter_scaling(b, scale, &die_counts, &knobs);
         println!("{}", render_table(&result));
     }
     // The NCQ-vs-native argument as a figure table: per-die queue depth
-    // (the NOFTL_ASYNC axis) × host link on the flush-wave burst.
+    // × host link on the flush-wave burst.
     eprintln!("running queue depth x host link sweep...");
     let depths: Vec<usize> = match scale {
         Scale::Quick => vec![1, 2, 4, 8],

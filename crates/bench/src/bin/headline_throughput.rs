@@ -3,9 +3,11 @@
 //! NoFTL speedup (paper: ≥ 2.4× for TPC-C, 2.25× for TPC-B).
 //!
 //! Usage: `cargo run --release -p noftl-bench --bin headline_throughput [--full]`
+//! (honours the `NOFTL_*` knobs)
 
 use noftl_bench::setup::{Benchmark, Scale};
 use noftl_bench::throughput::{render_table, run_headline};
+use storage_engine::backend::Knobs;
 
 fn main() {
     let scale = if std::env::args().any(|a| a == "--full") {
@@ -14,6 +16,10 @@ fn main() {
         Scale::Quick
     };
     eprintln!("running TPC-C / TPC-B on faster, dftl and noftl stacks ({scale:?})...");
-    let rows = run_headline(scale, &[Benchmark::TpcC, Benchmark::TpcB]);
+    let rows = run_headline(
+        scale,
+        &[Benchmark::TpcC, Benchmark::TpcB],
+        &Knobs::from_env(),
+    );
     println!("{}", render_table(&rows));
 }

@@ -12,7 +12,7 @@
 //! argument as Figure 4, applied to foreground reads instead of db-writers.
 //!
 //! The sweep is deterministic end to end (virtual time, seeded keys, laggard
-//! interleaving), so every point is bit-identical across runs and CI legs.
+//! interleaving), so every point is bit-identical across runs.
 
 use sim_utils::rng::SimRng;
 use sim_utils::time::SimInstant;
@@ -248,9 +248,7 @@ fn scaling_backend(depth: usize, dies: u32, logical_pages: u64) -> NoFtlBackend 
     let mut ncfg = NoFtlConfig::new(geometry);
     ncfg.async_queue_depth = depth;
     let noftl = NoFtl::new(ncfg);
-    let mut backend = NoFtlBackend::new(noftl);
-    backend.noftl_mut().set_async_depth(depth);
-    backend
+    NoFtlBackend::new(noftl)
 }
 
 /// Logical pages needed for `clients` partitions of the default mix, with
@@ -260,11 +258,16 @@ fn logical_pages_for(clients: usize) -> u64 {
     (clients as u64 * 540 + 512).max(2_048)
 }
 
-/// Run one point: `clients` sessions over one shared engine at `dies` dies.
-pub fn run_point(clients: usize, dies: u32, depth: usize, per_client: u64) -> ScalingPoint {
-    // Capacity is sized for the *largest* sweep point so every point sees
-    // the same device geometry per die; only the client count varies.
-    let backend = scaling_backend(depth, dies, logical_pages_for(8));
+/// Run one point: `clients` sessions over one shared engine at `dies` dies,
+/// on a device sized for `capacity` clients.
+pub fn run_point(
+    clients: usize,
+    capacity: usize,
+    dies: u32,
+    depth: usize,
+    per_client: u64,
+) -> ScalingPoint {
+    let backend = scaling_backend(depth, dies, logical_pages_for(capacity));
     let engine = ConcurrentEngine::new(
         Box::new(backend),
         scaling_engine_config(depth, dies, clients),
@@ -292,8 +295,8 @@ pub fn run_point(clients: usize, dies: u32, depth: usize, per_client: u64) -> Sc
 
 /// The plain single-threaded engine on the identical workload, phases and
 /// accounting — the regression baseline for the 1-client concurrent leg.
-pub fn run_single_threaded_baseline(dies: u32, depth: usize, per_client: u64) -> f64 {
-    let backend = scaling_backend(depth, dies, logical_pages_for(8));
+pub fn run_single_threaded_baseline(capacity: usize, dies: u32, depth: usize, per_client: u64) -> f64 {
+    let backend = scaling_backend(depth, dies, logical_pages_for(capacity));
     let mut engine = StorageEngine::new(Box::new(backend), scaling_engine_config(depth, dies, 1));
     let mut w = ScanPointMix::with_prefix(MixConfig::new(0x5CA1E), "c0_");
     let mut now = w.setup(&mut engine, 0).expect("setup");
@@ -313,15 +316,18 @@ pub fn run_single_threaded_baseline(dies: u32, depth: usize, per_client: u64) ->
 /// single-threaded baseline.
 pub fn run_client_scaling(client_counts: &[usize], dies: u32, per_client: u64) -> ClientScaling {
     let depth = 8;
+    // The device is sized for the largest sweep point (at least 8 clients)
+    // so every point sees the same geometry; only the client count varies.
+    let capacity = client_counts.iter().copied().fold(8, usize::max);
     let points = client_counts
         .iter()
-        .map(|&c| run_point(c.max(1), dies, depth, per_client))
+        .map(|&c| run_point(c.max(1), capacity, dies, depth, per_client))
         .collect();
     ClientScaling {
         dies,
         depth,
         points,
-        single_threaded_tps: run_single_threaded_baseline(dies, depth, per_client),
+        single_threaded_tps: run_single_threaded_baseline(capacity, dies, depth, per_client),
     }
 }
 

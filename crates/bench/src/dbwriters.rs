@@ -11,6 +11,7 @@
 use flash_emulator::{EmulatedNativeFlash, HostLink};
 use nand_flash::{BlockAddr, DeviceConfig, FlashGeometry, NandDevice, Oob, Ppa};
 use noftl_core::FlusherAssignment;
+use storage_engine::backend::Knobs;
 use workloads::{BenchmarkDriver, DriverConfig};
 
 use crate::gc_overhead::gc_workload;
@@ -65,6 +66,7 @@ pub fn run_point(
     dies: u32,
     assignment: FlusherAssignment,
     clients: usize,
+    knobs: &Knobs,
 ) -> DbWriterPoint {
     // Fixed total capacity split over a varying number of dies, as in the
     // paper's fixed 10 GB drive; the database is several times larger than
@@ -75,10 +77,10 @@ pub fn run_point(
         Scale::Full => 120_000,
     };
     let geometry = geometry_for_pages(logical_pages, 0.85, dies);
-    let mut flushers = default_flushers(assignment, dies as usize);
+    let mut flushers = default_flushers(assignment, dies as usize, knobs);
     flushers.dirty_high_watermark = 0.3;
     flushers.dirty_low_watermark = 0.02;
-    let mut engine = build_engine_with_buffer(Stack::NoFtl, geometry, flushers, 512);
+    let mut engine = build_engine_with_buffer(Stack::NoFtl, geometry, flushers, 512, knobs);
     let start = workload.setup(&mut engine, 0).expect("setup");
     let transactions = default_transactions(scale) * 2;
     let driver = BenchmarkDriver::new(DriverConfig::write_pressure(clients, transactions));
@@ -98,13 +100,14 @@ pub fn run_dbwriter_scaling(
     benchmark: Benchmark,
     scale: Scale,
     die_counts: &[u32],
+    knobs: &Knobs,
 ) -> DbWriterScaling {
     // The paper uses 16 read processes.
     let clients = 16;
     let mut points = Vec::new();
     for &dies in die_counts {
         for assignment in [FlusherAssignment::Global, FlusherAssignment::DieWise] {
-            points.push(run_point(benchmark, scale, dies, assignment, clients));
+            points.push(run_point(benchmark, scale, dies, assignment, clients, knobs));
         }
     }
     DbWriterScaling {
@@ -312,7 +315,7 @@ mod tests {
 
     #[test]
     fn single_point_runs_and_reports_tps() {
-        let p = run_point(Benchmark::TpcB, Scale::Quick, 2, FlusherAssignment::DieWise, 4);
+        let p = run_point(Benchmark::TpcB, Scale::Quick, 2, FlusherAssignment::DieWise, 4, &Knobs::default());
         assert!(p.tps > 0.0);
         assert!(p.response_ms > 0.0);
     }
@@ -351,7 +354,7 @@ mod tests {
 
     #[test]
     fn die_wise_not_slower_than_global_at_scale() {
-        let result = run_dbwriter_scaling(Benchmark::TpcB, Scale::Quick, &[4]);
+        let result = run_dbwriter_scaling(Benchmark::TpcB, Scale::Quick, &[4], &Knobs::default());
         let speedup = result.speedup(4).expect("both assignments measured");
         assert!(
             speedup > 0.9,

@@ -6,6 +6,7 @@
 use ftl::dftl::{Dftl, DftlConfig};
 use ftl::page_ftl::{PageFtl, PageFtlConfig};
 use ftl::traits::Ftl;
+use storage_engine::backend::Knobs;
 use workloads::PageTrace;
 
 use crate::gc_overhead::record_trace;
@@ -68,13 +69,13 @@ pub fn compare_on_trace(
     }
 }
 
-/// Run the experiment for TPC-C and TPC-B.
-pub fn run_dftl_slowdown(scale: Scale, cmt_fraction: f64) -> Vec<DftlSlowdownRow> {
+/// Run the experiment for TPC-C and TPC-B, the traces recorded with `knobs`.
+pub fn run_dftl_slowdown(scale: Scale, cmt_fraction: f64, knobs: &Knobs) -> Vec<DftlSlowdownRow> {
     let transactions = crate::setup::default_transactions(scale) * 2;
     [Benchmark::TpcC, Benchmark::TpcB]
         .iter()
         .map(|&b| {
-            let trace = record_trace(b, scale, transactions);
+            let trace = record_trace(b, scale, transactions, knobs);
             compare_on_trace(b, &trace, cmt_fraction)
         })
         .collect()
@@ -109,7 +110,7 @@ mod tests {
 
     #[test]
     fn dftl_is_slower_with_tiny_cmt() {
-        let trace = record_trace(Benchmark::TpcB, Scale::Quick, 300);
+        let trace = record_trace(Benchmark::TpcB, Scale::Quick, 300, &Knobs::default());
         let row = compare_on_trace(Benchmark::TpcB, &trace, 0.002);
         assert!(
             row.slowdown() >= 1.0,

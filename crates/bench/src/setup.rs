@@ -1,5 +1,7 @@
 //! Shared experiment plumbing: device sizing, engine construction per
-//! storage stack, workload construction per benchmark.
+//! storage stack, workload construction per benchmark.  Engines are built
+//! with the `NOFTL_*` knobs the caller passes in; a figure bin passes
+//! `Knobs::from_env()`, a test `Knobs::default()`.
 
 use flash_emulator::{EmulatedSsd, HostLink};
 use ftl::dftl::{Dftl, DftlConfig};
@@ -8,8 +10,8 @@ use ftl::page_ftl::{PageFtl, PageFtlConfig};
 use nand_flash::FlashGeometry;
 use noftl_core::{FlusherAssignment, NoFtl, NoFtlConfig};
 use storage_engine::{
-    backend::{BlockDeviceBackend, MemBackend, NoFtlBackend},
-    EngineConfig, FlusherConfig, StorageEngine,
+    backend::{BlockDeviceBackend, Knobs, MemBackend, StorageBackend},
+    FlusherConfig, StorageEngine,
 };
 use workloads::{TpcB, TpcBConfig, TpcC, TpcCConfig, TpcE, TpcEConfig};
 
@@ -85,8 +87,13 @@ pub fn geometry_for_pages(logical_pages: u64, utilisation: f64, dies: u32) -> Fl
 
 /// Construct a storage engine on the requested stack over a device with the
 /// given geometry.
-pub fn build_engine(stack: Stack, geometry: FlashGeometry, flushers: FlusherConfig) -> StorageEngine {
-    build_engine_with_buffer(stack, geometry, flushers, 2048)
+pub fn build_engine(
+    stack: Stack,
+    geometry: FlashGeometry,
+    flushers: FlusherConfig,
+    knobs: &Knobs,
+) -> StorageEngine {
+    build_engine_with_buffer(stack, geometry, flushers, 2048, knobs)
 }
 
 /// [`build_engine`] with an explicit buffer-pool size (frames).  The paper's
@@ -97,35 +104,34 @@ pub fn build_engine_with_buffer(
     geometry: FlashGeometry,
     flushers: FlusherConfig,
     buffer_frames: usize,
+    knobs: &Knobs,
 ) -> StorageEngine {
-    let mut cfg = EngineConfig::new();
+    let mut cfg = knobs.engine_config();
     cfg.buffer_frames = buffer_frames;
     cfg.flushers = flushers;
-    match stack {
-        Stack::NoFtl => {
-            let noftl = NoFtl::new(NoFtlConfig::new(geometry));
-            StorageEngine::new(Box::new(NoFtlBackend::new(noftl)), cfg)
-        }
+    let backend: Box<dyn StorageBackend> = match stack {
+        Stack::NoFtl => Box::new(knobs.noftl_backend(NoFtl::new(NoFtlConfig::new(geometry)))),
         Stack::Faster => {
             let ftl = FasterFtl::new(FasterConfig::new(geometry));
             let ssd = EmulatedSsd::new(ftl, HostLink::sata2());
-            StorageEngine::new(Box::new(BlockDeviceBackend::new(ssd, "ftl-faster")), cfg)
+            Box::new(BlockDeviceBackend::new(ssd, "ftl-faster"))
         }
         Stack::Dftl => {
             let ftl = Dftl::new(DftlConfig::new(geometry));
             let ssd = EmulatedSsd::new(ftl, HostLink::sata2());
-            StorageEngine::new(Box::new(BlockDeviceBackend::new(ssd, "ftl-dftl")), cfg)
+            Box::new(BlockDeviceBackend::new(ssd, "ftl-dftl"))
         }
         Stack::PageFtl => {
             let ftl = PageFtl::new(PageFtlConfig::new(geometry));
             let ssd = EmulatedSsd::new(ftl, HostLink::sata2());
-            StorageEngine::new(Box::new(BlockDeviceBackend::new(ssd, "ftl-page")), cfg)
+            Box::new(BlockDeviceBackend::new(ssd, "ftl-page"))
         }
-        Stack::Mem => {
-            let backend = MemBackend::new(geometry.page_size as usize, geometry.total_pages());
-            StorageEngine::new(Box::new(backend), cfg)
-        }
-    }
+        Stack::Mem => Box::new(MemBackend::new(
+            geometry.page_size as usize,
+            geometry.total_pages(),
+        )),
+    };
+    knobs.engine(backend, cfg)
 }
 
 /// Build a workload instance for `benchmark` at `scale`.
@@ -166,11 +172,15 @@ pub fn default_transactions(scale: Scale) -> u64 {
 }
 
 /// How many flusher writers the default engine uses.
-pub fn default_flushers(assignment: FlusherAssignment, writers: usize) -> FlusherConfig {
-    let mut cfg = match assignment {
+pub fn default_flushers(
+    assignment: FlusherAssignment,
+    writers: usize,
+    knobs: &Knobs,
+) -> FlusherConfig {
+    let mut cfg = knobs.flushers(match assignment {
         FlusherAssignment::Global => FlusherConfig::global(writers),
         FlusherAssignment::DieWise => FlusherConfig::die_wise(writers),
-    };
+    });
     cfg.dirty_high_watermark = 0.4;
     cfg.dirty_low_watermark = 0.05;
     cfg
@@ -191,7 +201,7 @@ mod tests {
     fn engines_build_on_every_stack() {
         let g = geometry_for_pages(4_000, 0.8, 4);
         for stack in [Stack::NoFtl, Stack::Faster, Stack::Dftl, Stack::PageFtl, Stack::Mem] {
-            let engine = build_engine(stack, g, FlusherConfig::global(2));
+            let engine = build_engine(stack, g, FlusherConfig::global(2), &Knobs::default());
             assert!(engine.page_size() > 0);
             assert!(engine.backend_name().contains(match stack {
                 Stack::Mem => "mem",

@@ -26,13 +26,11 @@
 //! [`EngineError::Overloaded`]: storage_engine::EngineError::Overloaded
 //!
 //! Everything runs on the virtual clock with seeded randomness, so every
-//! sweep point is bit-identical across runs and CI legs.
+//! sweep point is bit-identical across runs.
 
 use nand_flash::FlashResult;
 use noftl_core::{NoFtl, NoFtlConfig};
-use storage_engine::backend::{
-    NoFtlBackend, DEFAULT_SLO_GC_READ_HEAT_PENALTY, DEFAULT_SLO_GC_READ_OCCUPANCY,
-};
+use storage_engine::backend::{Knobs, NoFtlBackend};
 use storage_engine::{
     AdmissionConfig, ClientSession, ConcurrentEngine, EngineConfig, EngineOps, FlusherConfig,
     StorageEngine,
@@ -67,20 +65,8 @@ fn overload_backend(slo: bool) -> NoFtlBackend {
     let geometry = geometry_for_pages(2_048, 0.55, DIES);
     let mut ncfg = NoFtlConfig::new(geometry);
     ncfg.async_queue_depth = DEPTH;
-    let noftl = NoFtl::new(ncfg);
-    let mut backend = NoFtlBackend::new(noftl);
-    backend.noftl_mut().set_async_depth(DEPTH);
-    if slo {
-        // Mirror the `NOFTL_SLO` env injection explicitly so the sweep is
-        // deterministic regardless of the process environment.
-        backend
-            .noftl_mut()
-            .set_gc_schedule_read_occupancy(DEFAULT_SLO_GC_READ_OCCUPANCY);
-        backend
-            .noftl_mut()
-            .set_gc_read_heat_penalty(DEFAULT_SLO_GC_READ_HEAT_PENALTY);
-    }
-    backend
+    // With `slo`, the GC half of the SLO bundle.
+    Knobs { slo, ..Knobs::default() }.noftl_backend(NoFtl::new(ncfg))
 }
 
 fn overload_engine_config(slo: bool) -> EngineConfig {
@@ -93,17 +79,13 @@ fn overload_engine_config(slo: bool) -> EngineConfig {
     // so the pressure-clear horizon admission control computes when it
     // relieves dirty pressure is a *real* future instant — exactly the
     // legacy write-back model whose stalls the admission deadline bounds.
-    let mut flushers = FlusherConfig::die_wise(DIES as usize);
-    flushers.async_depth = 1; // explicit: independent of the NOFTL_ASYNC env leg
-    cfg.flushers = flushers;
+    cfg.flushers = FlusherConfig::die_wise(DIES as usize);
     cfg.readahead_window = 0;
     // Force per commit: each update transaction pays a real device program
     // for its WAL force, which is what makes the offered rates below
     // genuinely exceed the service rate.
     cfg.wal_group_commit = 1;
     cfg.buffer_hit_ns = 2_000;
-    // Explicit policy, not the env default: the off leg must stay off even
-    // under a `NOFTL_SLO=on` CI leg, and vice versa.
     cfg.admission = slo.then(slo_admission);
     cfg.slo_scheduling = slo;
     cfg

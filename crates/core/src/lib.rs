@@ -131,8 +131,8 @@
 //! lookups and [`regions::RegionManager`] placement queries are safe for any
 //! number of concurrent readers (`Send + Sync`, shareable behind an
 //! `RwLock`), while mapping updates and block allocation stay single-writer.
-//! The concurrent storage engine (`storage-engine`'s `ConcurrentEngine`,
-//! gated by `NOFTL_THREADS`) relies on exactly that split: device-state
+//! The concurrent storage engine (`storage-engine`'s `ConcurrentEngine`)
+//! relies on exactly that split: device-state
 //! mutation is serialised behind its backend lock — last in the engine's
 //! lock order — and everything `&self` may be read concurrently.  See the
 //! reader-safety sections of [`mapping`] and [`regions`].

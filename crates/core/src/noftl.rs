@@ -3232,8 +3232,7 @@ mod tests {
 
     use nand_flash::fault::FaultPlan;
 
-    /// NoFTL over a device with an explicit fault plan (independent of the
-    /// `NOFTL_FAULTS` env knob, so these tests are deterministic anywhere).
+    /// NoFTL over a device with an explicit fault plan.
     fn faulty_noftl(plan: FaultPlan, config: NoFtlConfig) -> NoFtl {
         let mut dev_cfg = DeviceConfig::new(config.geometry);
         dev_cfg.store_data = config.store_data;

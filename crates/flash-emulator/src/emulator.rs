@@ -2,6 +2,7 @@
 //! legacy block interface, and an emulated native Flash device for NoFTL.
 
 use ftl::block_device::BlockDevice;
+use ftl::stats::FtlStats;
 use ftl::traits::Ftl;
 use nand_flash::{
     DeviceConfig, FlashResult, NandDevice, NativeFlashInterface, OpCompletion, QueuedCompletion,
@@ -84,6 +85,10 @@ impl<F: Ftl> BlockDevice for EmulatedSsd<F> {
 
     fn trim_block(&mut self, now: SimInstant, lba: u64) -> FlashResult<()> {
         self.ftl.trim(now, lba)
+    }
+
+    fn ftl_stats(&self) -> Option<&FtlStats> {
+        Some(self.ftl.ftl_stats())
     }
 }
 

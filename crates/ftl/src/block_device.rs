@@ -11,6 +11,7 @@
 use nand_flash::{FlashError, FlashResult, NativeFlashInterface, OpCompletion};
 use sim_utils::time::SimInstant;
 
+use crate::stats::FtlStats;
 use crate::traits::Ftl;
 
 /// A device addressed by logical block (= page-sized sector) numbers.
@@ -40,6 +41,12 @@ pub trait BlockDevice {
     /// Discard logical block `lba` (TRIM); optional, default no-op.
     fn trim_block(&mut self, _now: SimInstant, _lba: u64) -> FlashResult<()> {
         Ok(())
+    }
+
+    /// Statistics of the FTL inside the device, if it has one: the GC
+    /// copies and erases the block interface hides from the host.
+    fn ftl_stats(&self) -> Option<&FtlStats> {
+        None
     }
 }
 
@@ -99,6 +106,10 @@ impl<F: Ftl> BlockDevice for FtlBlockDevice<F> {
 
     fn trim_block(&mut self, now: SimInstant, lba: u64) -> FlashResult<()> {
         self.ftl.trim(now, lba)
+    }
+
+    fn ftl_stats(&self) -> Option<&FtlStats> {
+        Some(self.ftl.ftl_stats())
     }
 }
 

@@ -2,10 +2,19 @@
 //! fixture CI misses NOFTL_TRACE and the fixture ROADMAP misses
 //! NOFTL_BATCH.
 
-pub fn batch_from_env() -> bool {
-    matches!(std::env::var("NOFTL_BATCH").as_deref(), Ok("on"))
+pub struct Knobs {
+    pub batch: bool,
 }
 
-pub fn trace_from_env() -> bool {
+impl Knobs {
+    pub fn from_env() -> Self {
+        Self {
+            batch: matches!(std::env::var("NOFTL_BATCH").as_deref(), Ok("on")),
+        }
+    }
+}
+
+pub fn trace_enabled() -> bool {
+    // Rule 1 violation: an environment read outside `Knobs::from_env`.
     matches!(std::env::var("NOFTL_TRACE").as_deref(), Ok("on"))
 }

@@ -59,10 +59,12 @@ fn main() -> ExitCode {
     let edges = report.latch.edges.len();
     eprintln!(
         "noftl-lint: {} finding(s); latch coverage: {sites} acquisition site(s), \
-         {edges} order edge(s), {} lock(s); {} registered knob(s)",
+         {edges} order edge(s), {} lock(s); {} registered knob(s), \
+         {} environment read(s) in Knobs::from_env",
         report.diagnostics.len(),
         report.latch.locks.len(),
         report.knobs.knobs.len(),
+        report.knobs.env_reads.len(),
     );
     if report.diagnostics.is_empty() {
         ExitCode::SUCCESS

@@ -1,13 +1,16 @@
-//! `knob-registry`: every `NOFTL_*` environment knob is parsed in exactly one
+//! `knob-registry`: every `NOFTL_*` environment knob is read in exactly one
 //! place and documented everywhere it must be.
 //!
 //! The registry is derived from the central knob module
 //! (`crates/storage-engine/src/backend.rs`): every `NOFTL_*` string literal
 //! in its non-test code is a registered knob.  The pass then enforces:
 //!
-//! 1. **Single parse point** — `env::var`/`env::var_os` of a `NOFTL_*` name
-//!    anywhere else in non-test code is a violation (tests may read/set knobs
-//!    to exercise them).
+//! 1. **Single read point** — the environment is read only inside
+//!    `Knobs::from_env` in the central module.  Any other environment access
+//!    there, and any `env::var*`, `set_var`, `remove_var` or `env!` on a line
+//!    naming a `NOFTL_` string anywhere else, is a violation — in test code
+//!    too: tests build `Knobs` values instead of mutating the process
+//!    environment.
 //! 2. **CI coverage** — every registered knob must appear in
 //!    `.github/workflows/ci.yml`; a knob no CI leg exercises is dead config.
 //! 3. **Docs coverage** — every registered knob must appear in `ROADMAP.md`'s
@@ -38,6 +41,37 @@ pub struct KnobRegistry {
     pub in_ci: BTreeMap<String, bool>,
     /// Whether each knob appears in the ROADMAP.
     pub in_roadmap: BTreeMap<String, bool>,
+    /// 1-based lines of the central module's environment reads inside
+    /// [`FROM_ENV`].
+    pub env_reads: Vec<usize>,
+}
+
+/// The one function allowed to read the environment.
+pub const FROM_ENV: &str = "from_env";
+
+/// Whether a code line touches the process environment.
+fn accesses_env(code: &str) -> bool {
+    code.contains("env::var")
+        || code.contains("set_var(")
+        || code.contains("remove_var(")
+        || code.contains("env!(")
+}
+
+/// Name of the function whose signature most recently precedes line `idx`
+/// (0-based) of `file`.
+fn enclosing_fn(file: &SourceFile, idx: usize) -> Option<&str> {
+    file.lines[..=idx].iter().rev().find_map(|l| {
+        let at = l.code.find("fn ")?;
+        let left_ok = at == 0 || {
+            let c = l.code.as_bytes()[at - 1];
+            !(c.is_ascii_alphanumeric() || c == b'_')
+        };
+        let rest = l.code[at + 3..].trim_start();
+        let end = rest
+            .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+            .unwrap_or(rest.len());
+        (left_ok && end > 0).then(|| &rest[..end])
+    })
 }
 
 impl KnobRegistry {
@@ -129,28 +163,29 @@ pub fn run(
         ));
     }
 
-    // 1. Env reads of NOFTL_* outside the central module (non-test code).
+    // 1. Environment access outside `Knobs::from_env` (test code included).
     for f in sources {
-        if f.rel == CENTRAL {
-            continue;
-        }
         for (no, line) in f.numbered() {
-            if line.in_test {
+            if !accesses_env(&line.code) {
                 continue;
             }
-            let reads_env = line.code.contains("env::var") || line.code.contains("env!(");
-            let names_knob = line.strings.iter().any(|s| !knob_tokens(s).is_empty());
-            if reads_env && names_knob {
-                out.push(Diagnostic::new(
-                    &f.rel,
-                    no,
-                    PASS,
-                    format!(
-                        "NOFTL_* environment read outside the central knob module; \
-                         route it through storage_engine::backend ({CENTRAL})"
-                    ),
-                ));
+            if f.rel == CENTRAL {
+                if enclosing_fn(f, no - 1) == Some(FROM_ENV) {
+                    reg.env_reads.push(no);
+                    continue;
+                }
+            } else if !line.strings.iter().any(|s| s.contains("NOFTL_")) {
+                continue;
             }
+            out.push(Diagnostic::new(
+                &f.rel,
+                no,
+                PASS,
+                format!(
+                    "environment access to NOFTL_* knobs outside Knobs::{FROM_ENV} \
+                     ({CENTRAL}); pass a Knobs value instead"
+                ),
+            ));
         }
     }
 

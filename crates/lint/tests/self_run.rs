@@ -91,9 +91,10 @@ fn knob_registry_matches_the_documented_knobs() {
             "NOFTL_READAHEAD",
             "NOFTL_REDUNDANCY",
             "NOFTL_SLO",
-            "NOFTL_THREADS",
         ]
     );
+    // One environment read in the workspace, inside `Knobs::from_env`.
+    assert_eq!(report.knobs.env_reads.len(), 1);
     assert!(report.knobs.in_ci.values().all(|v| *v), "{:?}", report.knobs.in_ci);
     assert!(report.knobs.in_roadmap.values().all(|v| *v), "{:?}", report.knobs.in_roadmap);
 }

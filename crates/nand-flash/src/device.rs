@@ -49,7 +49,7 @@ pub struct DeviceConfig {
     /// Deterministic fault-injection plan (program/erase/read failures).
     /// `None` — the default — makes the device bit- and cycle-identical to a
     /// build without fault injection.  The `NOFTL_FAULTS` environment knob is
-    /// read centrally by `storage_engine::backend::fault_plan_from_env` and
+    /// read centrally by `storage_engine::backend::Knobs::from_env` and
     /// injected DBMS-side; a bare device never consults the environment, so
     /// its behaviour is a pure function of this configuration.
     pub faults: Option<FaultPlan>,
@@ -2200,8 +2200,7 @@ mod tests {
 
     use crate::fault::FaultPlan;
 
-    /// A device with an explicitly set fault plan (ignores the env knob so
-    /// these tests are deterministic under any `NOFTL_FAULTS` setting).
+    /// A device with an explicitly set fault plan.
     fn faulty_device(plan: FaultPlan) -> NandDevice {
         let mut cfg = DeviceConfig::new(FlashGeometry::tiny());
         cfg.faults = Some(plan);

@@ -40,14 +40,10 @@
 //!
 //! ## The `NOFTL_FAULTS` knob
 //!
-//! [`parse_fault_plan`] parses one `NOFTL_FAULTS` spelling in the house knob
-//! style: empty/`off`/`false`/`0` disable injection (the default —
-//! fault-free operation is the equivalence baseline), `on`/`true` enable the
-//! default plan with the default seed, and any other integer enables the
-//! default plan seeded with that value.  Unrecognised spellings disable
-//! injection (failing *safe* for a fault knob).  The environment **read**
-//! itself lives with every other knob in `storage_engine::backend`
-//! (`fault_plan_from_env` there); this module deliberately never touches the
+//! The knob is parsed with every other knob in `storage_engine::backend`
+//! (`Knobs::from_vars` there): `on` enables the default plan seeded with
+//! [`DEFAULT_FAULT_SEED`], an integer seeds it with that value, and
+//! anything else disables injection.  This module never touches the
 //! environment, so a device's fault behaviour is a pure function of its
 //! [`crate::DeviceConfig`].
 
@@ -234,47 +230,9 @@ impl FaultPlan {
     }
 }
 
-/// Parse a `NOFTL_FAULTS` knob value.
-///
-/// * `""`, `"off"`, `"false"`, `"0"`, `"no"` → `None` (injection disabled;
-///   the default and the equivalence baseline);
-/// * `"on"`, `"true"`, `"yes"` → the default plan seeded with
-///   [`DEFAULT_FAULT_SEED`];
-/// * any other integer → the default plan seeded with that value;
-/// * anything else → `None` (a fault knob fails safe).
-pub fn parse_fault_plan(raw: &str) -> Option<FaultPlan> {
-    let v = raw.trim().to_ascii_lowercase();
-    match v.as_str() {
-        "" | "off" | "false" | "0" | "no" => None,
-        "on" | "true" | "yes" => Some(FaultPlan::seeded(DEFAULT_FAULT_SEED)),
-        other => other.parse::<u64>().ok().map(FaultPlan::seeded),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn knob_parses_all_spellings() {
-        assert!(parse_fault_plan("").is_none());
-        assert!(parse_fault_plan("off").is_none());
-        assert!(parse_fault_plan("OFF").is_none());
-        assert!(parse_fault_plan("false").is_none());
-        assert!(parse_fault_plan("0").is_none());
-        assert!(parse_fault_plan("no").is_none());
-        assert!(parse_fault_plan("certainly not a number").is_none());
-        assert_eq!(
-            parse_fault_plan("on").map(|p| p.seed),
-            Some(DEFAULT_FAULT_SEED)
-        );
-        assert_eq!(
-            parse_fault_plan("true").map(|p| p.seed),
-            Some(DEFAULT_FAULT_SEED)
-        );
-        assert_eq!(parse_fault_plan("12345").map(|p| p.seed), Some(12345));
-        assert_eq!(parse_fault_plan("  7 ").map(|p| p.seed), Some(7));
-    }
 
     #[test]
     fn same_seed_reproduces_the_same_draw_sequence() {

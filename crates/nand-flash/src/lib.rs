@@ -81,9 +81,7 @@ pub mod trace;
 pub use addr::{BlockAddr, DieAddr, Ppa};
 pub use device::{DeviceConfig, NandDevice};
 pub use error::{FlashError, FlashResult};
-pub use fault::{
-    parse_fault_plan, FaultPlan, KillSpec, KillTarget, ReadFaultOutcome, DEFAULT_FAULT_SEED,
-};
+pub use fault::{FaultPlan, KillSpec, KillTarget, ReadFaultOutcome, DEFAULT_FAULT_SEED};
 pub use geometry::FlashGeometry;
 pub use interface::{DeviceIdentification, NativeFlashInterface, OpCompletion, OpKind};
 pub use nand_type::{NandType, TimingProfile};

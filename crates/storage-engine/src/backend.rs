@@ -7,253 +7,251 @@
 //! silently ignore what the legacy interface cannot express.
 
 use ftl::block_device::BlockDevice;
-use nand_flash::{FlashResult, NativeFlashInterface, OpCompletion};
+use nand_flash::{FaultPlan, FlashResult, NativeFlashInterface, OpCompletion, DEFAULT_FAULT_SEED};
 use noftl_core::{NoFtl, RedundancyPolicy};
 use sim_utils::time::SimInstant;
+
+use crate::engine::{EngineConfig, StorageEngine};
+use crate::flusher::FlusherConfig;
+use crate::transaction::AdmissionConfig;
 
 /// Page id alias used by the batch write API (kept here to avoid a cyclic
 /// import with [`crate::page`]).
 type PageId = u64;
 
-/// Default number of pages a batched write submits per backend call when the
-/// `NOFTL_BATCH` environment variable does not say otherwise.
+/// Default number of pages a batched write submits per backend call.
 pub const DEFAULT_BATCH_PAGES: usize = 64;
 
-/// Resolve the batched-write mode from the `NOFTL_BATCH` environment
-/// variable:
-///
-/// * unset / `on` — batching enabled with [`DEFAULT_BATCH_PAGES`] pages per
-///   submission;
-/// * `off` / `0` — batching disabled: the legacy one-`write_page`-per-page
-///   path is used everywhere (the CI fallback leg);
-/// * a number `k` — batching enabled with runs of at most `k` pages (`1`
-///   exercises the batch plumbing with degenerate single-page runs, which
-///   must be bit- and timing-identical to `off`).
-pub fn batch_pages_from_env() -> usize {
-    match std::env::var("NOFTL_BATCH") {
-        Ok(v) => parse_batch_pages(&v),
-        Err(_) => DEFAULT_BATCH_PAGES,
-    }
-}
-
-/// Parse one `NOFTL_BATCH` spelling (see [`batch_pages_from_env`]).
-pub fn parse_batch_pages(value: &str) -> usize {
-    let v = value.trim().to_ascii_lowercase();
-    match v.as_str() {
-        "" | "on" | "true" => DEFAULT_BATCH_PAGES,
-        "off" | "false" => 0,
-        _ => v.parse::<usize>().unwrap_or(DEFAULT_BATCH_PAGES),
-    }
-}
-
-/// Resolve the global-writer batching ablation from the `NOFTL_BATCH_GLOBAL`
-/// environment variable.  Default **off**: the conventional global writers
-/// model the legacy per-page path, preserving the paper's Figure 4 contention
-/// effect.  Turning it on lets the global writers batch like the die-wise
-/// ones, quantifying how much of the Figure 4 gap NCQ-style batching alone
-/// closes (the writer-to-region association is still what the rest buys).
-pub fn batch_global_from_env() -> bool {
-    match std::env::var("NOFTL_BATCH_GLOBAL") {
-        Ok(v) => parse_batch_global(&v),
-        Err(_) => false,
-    }
-}
-
-/// Parse one `NOFTL_BATCH_GLOBAL` spelling (see [`batch_global_from_env`]).
-pub fn parse_batch_global(value: &str) -> bool {
-    matches!(
-        value.trim().to_ascii_lowercase().as_str(),
-        "on" | "true" | "1" | "yes"
-    )
-}
-
-/// Default readahead window cap (pages) when `NOFTL_READAHEAD` is unset or
-/// `on` without a number.
+/// Default readahead window cap (pages).
 pub const DEFAULT_READAHEAD_WINDOW: usize = 64;
 
-/// Resolve the streaming-readahead window cap from the `NOFTL_READAHEAD`
-/// environment variable:
-///
-/// * unset / `on` — readahead enabled with a [`DEFAULT_READAHEAD_WINDOW`]
-///   cap (it still only *issues* at `NOFTL_ASYNC` depth > 1 — at depth 1 the
-///   scan paths stay frame-at-a-time, bit- and cycle-identical to the
-///   pre-readahead code);
-/// * `off` / `0` — readahead disabled at any depth;
-/// * a number `k` — readahead enabled with a window cap of `k` pages.
-pub fn readahead_window_from_env() -> usize {
-    match std::env::var("NOFTL_READAHEAD") {
-        Ok(v) => parse_readahead_window(&v),
-        Err(_) => DEFAULT_READAHEAD_WINDOW,
-    }
-}
-
-/// Parse one `NOFTL_READAHEAD` spelling (see [`readahead_window_from_env`]).
-pub fn parse_readahead_window(value: &str) -> usize {
-    let v = value.trim().to_ascii_lowercase();
-    match v.as_str() {
-        "" | "on" | "true" => DEFAULT_READAHEAD_WINDOW,
-        "off" | "false" => 0,
-        _ => v.parse::<usize>().unwrap_or(DEFAULT_READAHEAD_WINDOW),
-    }
-}
-
-/// Default per-die queue depth when `NOFTL_ASYNC` is `on` without a number.
+/// Per-die queue depth of `NOFTL_ASYNC=on` without a number.
 pub const DEFAULT_ASYNC_DEPTH: usize = 8;
 
-/// Resolve the asynchronous submission depth from the `NOFTL_ASYNC`
-/// environment variable:
+/// Default proactive-GC read-occupancy threshold (in-flight reads) injected
+/// into [`noftl_core::NoFtl`] when the SLO bundle is on and the instance was
+/// configured without one.
+pub const DEFAULT_SLO_GC_READ_OCCUPANCY: usize = 2;
+
+/// Default GC read-heat victim penalty injected when the SLO bundle is on and
+/// the instance was configured read-blind (see
+/// [`noftl_core::NoFtlConfig::gc_read_heat_penalty`]).
+pub const DEFAULT_SLO_GC_READ_HEAT_PENALTY: f64 = 1.0;
+
+/// Default device-queue occupancy (in-flight operations) at which a flusher
+/// wave defers to foreground traffic when the SLO bundle is on (see
+/// [`crate::flusher::FlusherPool::set_throttle_occupancy`]).
+pub const DEFAULT_SLO_FLUSH_OCCUPANCY: usize = 4;
+
+/// Default parity stripe width — data members per parity page — of
+/// `NOFTL_REDUNDANCY=parity` without a number.
+pub const DEFAULT_PARITY_K: usize = 3;
+
+/// The seven `NOFTL_*` environment knobs as one plain value.
 ///
-/// * unset / `off` / `0` / `1` — synchronous dispatch (depth 1): every
-///   submission waits for its predecessor, bit- and cycle-identical to the
-///   pre-async code (the equivalence-suite invariant);
-/// * `on` — asynchronous with [`DEFAULT_ASYNC_DEPTH`] commands in flight per
-///   submitter / per die;
-/// * a number `k` — asynchronous with a window of `k`.
-pub fn async_depth_from_env() -> usize {
-    match std::env::var("NOFTL_ASYNC") {
-        Ok(v) => parse_async_depth(&v),
-        Err(_) => 1,
+/// Library code reads no environment: [`EngineConfig::new`],
+/// [`FlusherConfig::global`], [`crate::wal::WalManager::new`] and
+/// [`NoFtlBackend::new`] build exactly what `Knobs::default()` describes.
+/// A binary that honours the knobs calls [`Knobs::from_env`] once in `main`
+/// and hands the value to the code that builds its stack, which applies it
+/// with [`Knobs::engine_config`], [`Knobs::flushers`], [`Knobs::engine`] and
+/// [`Knobs::noftl_backend`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Knobs {
+    /// `NOFTL_BATCH`: maximum pages per batched write submission of the
+    /// die-wise writers and the WAL; 0 keeps the legacy
+    /// one-`write_page`-per-page path.  Batch size 1 is bit- and
+    /// cycle-identical to 0.
+    pub batch_pages: usize,
+    /// `NOFTL_BATCH_GLOBAL`: let the conventional global writers batch too
+    /// (the Figure 4 ablation).  Off, they model the legacy per-page path.
+    pub batch_global: bool,
+    /// `NOFTL_ASYNC`: submissions each writer, the WAL and the buffer pool's
+    /// miss fills keep in flight, and the device's per-die queue depth.
+    /// Depth 1 is the synchronous dispatch.
+    pub async_depth: usize,
+    /// `NOFTL_READAHEAD`: streaming-readahead window cap (pages); 0 disables
+    /// readahead.  It only issues at an async depth above 1.
+    pub readahead_window: usize,
+    /// `NOFTL_FAULTS`: fault-injection plan for devices configured without
+    /// one.
+    pub faults: Option<FaultPlan>,
+    /// `NOFTL_SLO`: the overload bundle — WAL admission control, load-aware
+    /// flusher throttling and proactive GC scheduling into read-cold
+    /// instants.
+    pub slo: bool,
+    /// `NOFTL_REDUNDANCY`: redundancy policy for every region of an instance
+    /// configured without one.
+    pub redundancy: Option<RedundancyPolicy>,
+}
+
+impl Default for Knobs {
+    /// Every knob unset.
+    fn default() -> Self {
+        Self {
+            batch_pages: DEFAULT_BATCH_PAGES,
+            batch_global: false,
+            async_depth: 1,
+            readahead_window: DEFAULT_READAHEAD_WINDOW,
+            faults: None,
+            slo: false,
+            redundancy: None,
+        }
     }
 }
 
-/// Parse one `NOFTL_ASYNC` spelling (see [`async_depth_from_env`]).
-pub fn parse_async_depth(value: &str) -> usize {
-    let v = value.trim().to_ascii_lowercase();
-    match v.as_str() {
+impl Knobs {
+    /// Read the knobs from the process environment.  This is the one
+    /// environment read of a knob in the workspace (the knob-registry lint
+    /// enforces it); only binaries call it, once, in `main`.  A value that
+    /// is not valid Unicode counts as unset.
+    pub fn from_env() -> Self {
+        Self::from_vars(
+            std::env::vars_os()
+                .filter_map(|(k, v)| Some((k.into_string().ok()?, v.into_string().ok()?))),
+        )
+    }
+
+    /// Parse `(name, value)` pairs spelled as in the environment.  Other
+    /// names are ignored; a knob given twice takes its last value.
+    ///
+    /// * `NOFTL_BATCH`: `on`/`true`/empty = [`DEFAULT_BATCH_PAGES`],
+    ///   `off`/`false` = 0, a number `k` = `k`; anything else is the default.
+    /// * `NOFTL_BATCH_GLOBAL`, `NOFTL_SLO`: `on`/`true`/`1`/`yes` = on;
+    ///   anything else is off.
+    /// * `NOFTL_ASYNC`: `off`/`false`/`0`/`1`/empty = 1, `on`/`true` =
+    ///   [`DEFAULT_ASYNC_DEPTH`], a number `k` = `max(k, 1)`; anything else
+    ///   is 1.
+    /// * `NOFTL_READAHEAD`: `on`/`true`/empty = [`DEFAULT_READAHEAD_WINDOW`],
+    ///   `off`/`false` = 0, a number `k` = `k`; anything else is the default.
+    /// * `NOFTL_FAULTS`: `on`/`true`/`yes` = the default plan seeded with
+    ///   [`DEFAULT_FAULT_SEED`], a number `k` other than 0 = the default plan
+    ///   seeded with `k`; anything else is no plan.
+    /// * `NOFTL_REDUNDANCY`: `on`/`true`/`yes`/`parity` =
+    ///   `Parity(`[`DEFAULT_PARITY_K`]`)`, `parity:k` = `Parity(k)` for
+    ///   `k >= 1`, `mirror` = `Mirror`; anything else is none.
+    ///
+    /// Names are case-sensitive; values are trimmed and case-insensitive.
+    pub fn from_vars<I, K, V>(vars: I) -> Self
+    where
+        I: IntoIterator<Item = (K, V)>,
+        K: AsRef<str>,
+        V: AsRef<str>,
+    {
+        let mut knobs = Self::default();
+        for (name, value) in vars {
+            let v = value.as_ref().trim().to_ascii_lowercase();
+            match name.as_ref() {
+                "NOFTL_BATCH" => knobs.batch_pages = parse_window(&v, DEFAULT_BATCH_PAGES),
+                "NOFTL_BATCH_GLOBAL" => knobs.batch_global = parse_flag(&v),
+                "NOFTL_ASYNC" => knobs.async_depth = parse_async_depth(&v),
+                "NOFTL_READAHEAD" => {
+                    knobs.readahead_window = parse_window(&v, DEFAULT_READAHEAD_WINDOW)
+                }
+                "NOFTL_FAULTS" => knobs.faults = parse_fault_plan(&v),
+                "NOFTL_SLO" => knobs.slo = parse_flag(&v),
+                "NOFTL_REDUNDANCY" => knobs.redundancy = parse_redundancy(&v),
+                _ => {}
+            }
+        }
+        knobs
+    }
+
+    /// [`EngineConfig::new`] with the knobs applied: readahead window, SLO
+    /// admission and scheduling, and [`Knobs::flushers`] on its writers.
+    pub fn engine_config(&self) -> EngineConfig {
+        let config = EngineConfig::new();
+        EngineConfig {
+            flushers: self.flushers(config.flushers),
+            readahead_window: self.readahead_window,
+            admission: self.slo.then(AdmissionConfig::default),
+            slo_scheduling: self.slo,
+            ..config
+        }
+    }
+
+    /// `config` with the knobs' batch size, global-writer batching and async
+    /// depth.
+    pub fn flushers(&self, config: FlusherConfig) -> FlusherConfig {
+        FlusherConfig {
+            batch_pages: self.batch_pages,
+            batch_global: self.batch_global,
+            async_depth: self.async_depth,
+            ..config
+        }
+    }
+
+    /// [`StorageEngine::new`] with the knobs' batch size and async depth on
+    /// the engine's WAL.  The WAL keeps its own depth: it does not follow
+    /// `config.flushers.async_depth`.
+    pub fn engine(&self, backend: Box<dyn StorageBackend>, config: EngineConfig) -> StorageEngine {
+        let mut engine = StorageEngine::new(backend, config);
+        let wal = engine.wal_mut();
+        wal.set_batch_pages(self.batch_pages);
+        wal.set_async_depth(self.async_depth);
+        engine
+    }
+
+    /// [`NoFtlBackend::new`] after injecting the knobs into whatever `noftl`
+    /// left at its default.  An explicitly configured value always wins: an
+    /// async depth above 1, a fault plan, the SLO GC policies, or a
+    /// redundancy vector (even an all-`None` one).
+    pub fn noftl_backend(&self, mut noftl: NoFtl) -> NoFtlBackend {
+        if noftl.async_depth() <= 1 {
+            noftl.set_async_depth(self.async_depth);
+        }
+        if !noftl.faults_enabled() {
+            noftl.set_fault_plan(self.faults.clone());
+        }
+        if self.slo {
+            if noftl.gc_schedule_read_occupancy() == 0 {
+                noftl.set_gc_schedule_read_occupancy(DEFAULT_SLO_GC_READ_OCCUPANCY);
+            }
+            if noftl.gc_read_heat_penalty() == 0.0 {
+                noftl.set_gc_read_heat_penalty(DEFAULT_SLO_GC_READ_HEAT_PENALTY);
+            }
+        }
+        if let Some(policy) = self.redundancy {
+            if !noftl.redundancy_configured() {
+                noftl.set_redundancy_all(policy);
+            }
+        }
+        NoFtlBackend::new(noftl)
+    }
+}
+
+/// A page-count knob: on/empty is `default`, off is 0, a number is itself.
+fn parse_window(v: &str, default: usize) -> usize {
+    match v {
+        "" | "on" | "true" => default,
+        "off" | "false" => 0,
+        _ => v.parse::<usize>().unwrap_or(default),
+    }
+}
+
+/// A policy knob: fails safe to off.
+fn parse_flag(v: &str) -> bool {
+    matches!(v, "on" | "true" | "1" | "yes")
+}
+
+fn parse_fault_plan(v: &str) -> Option<FaultPlan> {
+    match v {
+        "" | "off" | "false" | "0" | "no" => None,
+        "on" | "true" | "yes" => Some(FaultPlan::seeded(DEFAULT_FAULT_SEED)),
+        _ => v.parse::<u64>().ok().map(FaultPlan::seeded),
+    }
+}
+
+fn parse_async_depth(v: &str) -> usize {
+    match v {
         "" | "off" | "false" | "0" | "1" => 1,
         "on" | "true" => DEFAULT_ASYNC_DEPTH,
         _ => v.parse::<usize>().map_or(1, |k| k.max(1)),
     }
 }
 
-/// Default client/shard count when `NOFTL_THREADS` is `on` without a number.
-pub const DEFAULT_THREADS: usize = 8;
-
-/// Resolve the concurrent-client count from the `NOFTL_THREADS` environment
-/// variable:
-///
-/// * unset / `off` / `0` / `1` — single-threaded (1): today's
-///   [`crate::engine::StorageEngine`] code path, bit- and cycle-identical to
-///   the pre-concurrency engine (the equivalence-suite invariant);
-/// * `on` — concurrent with [`DEFAULT_THREADS`] clients / pool shards;
-/// * a number `k` — concurrent with `k` clients / pool shards.
-pub fn threads_from_env() -> usize {
-    match std::env::var("NOFTL_THREADS") {
-        Ok(v) => parse_threads(&v),
-        Err(_) => 1,
-    }
-}
-
-/// Parse one `NOFTL_THREADS` spelling (see [`threads_from_env`]).
-pub fn parse_threads(value: &str) -> usize {
-    let v = value.trim().to_ascii_lowercase();
-    match v.as_str() {
-        "" | "off" | "false" | "0" | "1" => 1,
-        "on" | "true" => DEFAULT_THREADS,
-        _ => v.parse::<usize>().map_or(1, |k| k.max(1)),
-    }
-}
-
-/// Resolve the fault-injection plan from the `NOFTL_FAULTS` environment
-/// variable:
-///
-/// * unset / `off` / `false` / `0` / `no` — injection disabled (the default
-///   and the equivalence baseline: bit- and cycle-identical to a build
-///   without fault injection);
-/// * `on` / `true` / `yes` — the default plan with the default seed;
-/// * a number `k` — the default plan seeded with `k`;
-/// * anything else — disabled (a fault knob fails safe).
-///
-/// This is the **only** place the `NOFTL_FAULTS` environment variable is
-/// read (the knob-registry lint enforces it): parsing lives in
-/// [`nand_flash::parse_fault_plan`], and the plan is injected DBMS-side by
-/// [`NoFtlBackend::new`] into devices configured without one — an explicitly
-/// configured `DeviceConfig::faults` plan always wins over the environment.
-pub fn fault_plan_from_env() -> Option<nand_flash::FaultPlan> {
-    match std::env::var("NOFTL_FAULTS") {
-        Ok(v) => nand_flash::parse_fault_plan(&v),
-        Err(_) => None,
-    }
-}
-
-/// Default proactive-GC read-occupancy threshold (in-flight reads) injected
-/// into [`noftl_core::NoFtl`] when `NOFTL_SLO` is on and the instance was
-/// configured without one.
-pub const DEFAULT_SLO_GC_READ_OCCUPANCY: usize = 2;
-
-/// Default GC read-heat victim penalty injected when `NOFTL_SLO` is on and
-/// the instance was configured read-blind (see
-/// [`noftl_core::NoFtlConfig::gc_read_heat_penalty`]).
-pub const DEFAULT_SLO_GC_READ_HEAT_PENALTY: f64 = 1.0;
-
-/// Default device-queue occupancy (in-flight operations) at which a flusher
-/// wave defers to foreground traffic when `NOFTL_SLO` is on (see
-/// [`crate::flusher::FlusherPool::set_throttle_occupancy`]).
-pub const DEFAULT_SLO_FLUSH_OCCUPANCY: usize = 4;
-
-/// Resolve the overload-robustness (SLO) policy bundle from the `NOFTL_SLO`
-/// environment variable:
-///
-/// * unset / `off` / `false` / `0` / `no` — every policy off (the default
-///   and the equivalence baseline: WAL admission unbounded, flusher waves
-///   unthrottled, GC demand-only — bit- and cycle-identical to the
-///   pre-SLO engine);
-/// * `on` / `true` / `1` / `yes` — admission control at the WAL, load-aware
-///   flusher throttling, and proactive GC scheduling into read-cold
-///   instants, with the default watermarks;
-/// * anything else — off (a policy knob fails safe).
-///
-/// This is the **only** place the `NOFTL_SLO` environment variable is read
-/// (the knob-registry lint enforces it).
-pub fn slo_from_env() -> bool {
-    match std::env::var("NOFTL_SLO") {
-        Ok(v) => parse_slo(&v),
-        Err(_) => false,
-    }
-}
-
-/// Parse one `NOFTL_SLO` spelling (see [`slo_from_env`]).
-pub fn parse_slo(value: &str) -> bool {
-    matches!(
-        value.trim().to_ascii_lowercase().as_str(),
-        "on" | "true" | "1" | "yes"
-    )
-}
-
-/// Default parity stripe width — data members per parity page — when
-/// `NOFTL_REDUNDANCY` asks for parity without a number.
-pub const DEFAULT_PARITY_K: usize = 3;
-
-/// Resolve the per-region redundancy policy from the `NOFTL_REDUNDANCY`
-/// environment variable:
-///
-/// * unset / `off` / `false` / `0` / `no` / `none` — no redundancy (the
-///   default and the equivalence baseline: every write path bit- and
-///   cycle-identical to a build without the redundancy machinery);
-/// * `on` / `true` / `yes` / `parity` — die-disjoint XOR parity striping
-///   with [`DEFAULT_PARITY_K`] data members per parity page;
-/// * `parity:k` — parity striping with `k` data members per parity page;
-/// * `mirror` — full mirroring (every write also lands a copy on another
-///   die);
-/// * anything else — off (a reliability knob fails safe, like every other
-///   policy knob).
-///
-/// This is the **only** place the `NOFTL_REDUNDANCY` environment variable is
-/// read (the knob-registry lint enforces it): the policy is injected
-/// DBMS-side by [`NoFtlBackend::new`] into instances configured without one
-/// — an explicitly configured `NoFtlConfig::redundancy` vector (or prior
-/// `set_redundancy_*` call) always wins over the environment.
-pub fn redundancy_from_env() -> Option<RedundancyPolicy> {
-    match std::env::var("NOFTL_REDUNDANCY") {
-        Ok(v) => parse_redundancy(&v),
-        Err(_) => None,
-    }
-}
-
-/// Parse one `NOFTL_REDUNDANCY` spelling (see [`redundancy_from_env`]).
-pub fn parse_redundancy(value: &str) -> Option<RedundancyPolicy> {
-    let v = value.trim().to_ascii_lowercase();
-    match v.as_str() {
+fn parse_redundancy(v: &str) -> Option<RedundancyPolicy> {
+    match v {
         "" | "off" | "false" | "0" | "no" | "none" => None,
         "on" | "true" | "yes" | "parity" => Some(RedundancyPolicy::Parity(DEFAULT_PARITY_K)),
         "mirror" => Some(RedundancyPolicy::Mirror),
@@ -625,41 +623,9 @@ pub struct NoFtlBackend {
 }
 
 impl NoFtlBackend {
-    /// Wrap a NoFTL instance.  When the instance still has the synchronous
-    /// default (depth 1), the asynchronous submission depth is taken from
-    /// the `NOFTL_ASYNC` environment knob; an explicitly configured
-    /// `NoFtlConfig::async_queue_depth` (or prior `set_async_depth`) wins
-    /// over the environment.  Likewise, a device configured without a fault
-    /// plan picks up the centrally parsed `NOFTL_FAULTS` plan here (see
-    /// [`fault_plan_from_env`]); an explicitly configured plan wins.
+    /// Wrap a NoFTL instance as configured.  [`Knobs::noftl_backend`]
+    /// wraps one with the environment knobs injected.
     pub fn new(noftl: NoFtl) -> Self {
-        let mut noftl = noftl;
-        if noftl.async_depth() <= 1 {
-            noftl.set_async_depth(async_depth_from_env());
-        }
-        if !noftl.faults_enabled() {
-            noftl.set_fault_plan(fault_plan_from_env());
-        }
-        // The SLO bundle injects the load-aware GC policies the same way:
-        // only into instances configured without them, so an explicit
-        // `NoFtlConfig` (or prior setter call) always wins over the
-        // environment.
-        if slo_from_env() {
-            if noftl.gc_schedule_read_occupancy() == 0 {
-                noftl.set_gc_schedule_read_occupancy(DEFAULT_SLO_GC_READ_OCCUPANCY);
-            }
-            if noftl.gc_read_heat_penalty() == 0.0 {
-                noftl.set_gc_read_heat_penalty(DEFAULT_SLO_GC_READ_HEAT_PENALTY);
-            }
-        }
-        // The redundancy knob follows the same pattern: only instances whose
-        // config left `redundancy` empty pick up the environment policy
-        // (applied to every region); an explicit per-region vector wins.
-        if let Some(policy) = redundancy_from_env() {
-            if !noftl.redundancy_configured() {
-                noftl.set_redundancy_all(policy);
-            }
-        }
         Self { noftl }
     }
 
@@ -807,6 +773,8 @@ pub struct BlockDeviceBackend<D: BlockDevice> {
     name: String,
     reads: u64,
     writes: u64,
+    /// The FTL's (GC copies, erases) at the last counter reset.
+    gc_base: (u64, u64),
 }
 
 impl<D: BlockDevice> BlockDeviceBackend<D> {
@@ -817,7 +785,16 @@ impl<D: BlockDevice> BlockDeviceBackend<D> {
             name: name.into(),
             reads: 0,
             writes: 0,
+            gc_base: (0, 0),
         }
+    }
+
+    /// The device FTL's cumulative (GC page copies, GC erases); zero for a
+    /// device without an FTL.
+    fn gc_counts(&self) -> (u64, u64) {
+        self.device
+            .ftl_stats()
+            .map_or((0, 0), |s| (s.gc_page_copies, s.gc_erases))
     }
 
     /// Borrow the wrapped device.
@@ -870,9 +847,12 @@ impl<D: BlockDevice> StorageBackend for BlockDeviceBackend<D> {
     }
 
     fn counters(&self) -> BackendCounters {
+        let (copies, erases) = self.gc_counts();
         BackendCounters {
             host_reads: self.reads,
             host_writes: self.writes,
+            internal_copies: copies.saturating_sub(self.gc_base.0),
+            erases: erases.saturating_sub(self.gc_base.1),
             ..Default::default()
         }
     }
@@ -880,6 +860,7 @@ impl<D: BlockDevice> StorageBackend for BlockDeviceBackend<D> {
     fn reset_counters(&mut self) {
         self.reads = 0;
         self.writes = 0;
+        self.gc_base = self.gc_counts();
     }
 }
 
@@ -1045,6 +1026,31 @@ mod tests {
     }
 
     #[test]
+    fn block_backend_reports_the_ftl_gc_work() {
+        let ftl = ftl::FasterFtl::with_geometry(FlashGeometry::small());
+        let mut b = BlockDeviceBackend::new(FtlBlockDevice::new(ftl), "ftl-faster");
+        let span = 512u64.min(b.num_pages());
+        let mut rng = sim_utils::rng::SimRng::new(3);
+        let mut now = 0;
+        for i in 0..span + 3000 {
+            let lpn = if i < span { i } else { rng.range(0, span) };
+            let data = vec![lpn as u8; b.page_size()];
+            now = b.write_page(now, lpn, &data).unwrap().completed_at;
+        }
+        let ftl = b.device().ftl().ftl_stats();
+        assert!(ftl.full_merges > 0, "random overwrites must force merges");
+        let counters = b.counters();
+        assert!(counters.erases > 0);
+        assert_eq!(counters.erases, ftl.gc_erases);
+        assert_eq!(counters.internal_copies, ftl.gc_page_copies);
+        b.reset_counters();
+        assert_eq!((b.counters().internal_copies, b.counters().erases), (0, 0));
+        // A device without an FTL has no hidden GC work.
+        let mem = BlockDeviceBackend::new(ftl::MemBlockDevice::new(512, 8), "raw");
+        assert_eq!(mem.counters(), BackendCounters::default());
+    }
+
+    #[test]
     fn write_pages_default_loop_on_mem_backend() {
         let mut b = MemBackend::new(512, 32);
         let pages: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 512]).collect();
@@ -1077,86 +1083,6 @@ mod tests {
             b.read_page(t, i as u64, &mut buf).unwrap();
             assert_eq!(&buf, data);
         }
-    }
-
-    #[test]
-    fn async_knob_parses_all_spellings() {
-        for (v, expect) in [
-            ("", 1),
-            ("off", 1),
-            ("False", 1),
-            ("0", 1),
-            ("1", 1),
-            ("on", DEFAULT_ASYNC_DEPTH),
-            ("TRUE", DEFAULT_ASYNC_DEPTH),
-            (" 4 ", 4),
-            ("garbage", 1),
-        ] {
-            assert_eq!(parse_async_depth(v), expect, "spelling {v:?}");
-        }
-    }
-
-    #[test]
-    fn threads_knob_parses_all_spellings() {
-        for (v, expect) in [
-            ("", 1),
-            ("off", 1),
-            ("False", 1),
-            ("0", 1),
-            ("1", 1),
-            ("on", DEFAULT_THREADS),
-            ("TRUE", DEFAULT_THREADS),
-            (" 4 ", 4),
-            ("8", 8),
-            ("garbage", 1),
-        ] {
-            assert_eq!(parse_threads(v), expect, "spelling {v:?}");
-        }
-    }
-
-    #[test]
-    fn faults_knob_routes_through_the_central_parser() {
-        // The env read must agree exactly with `parse_fault_plan` of the
-        // raw value, whatever CI leg this runs on — off/0/false semantics
-        // uniform with every other knob.
-        let expect = std::env::var("NOFTL_FAULTS")
-            .ok()
-            .and_then(|v| nand_flash::parse_fault_plan(&v));
-        assert_eq!(
-            fault_plan_from_env().map(|p| p.seed),
-            expect.map(|p| p.seed)
-        );
-    }
-
-    #[test]
-    fn backend_injects_env_fault_plan_only_when_none_configured() {
-        // A device configured without a plan picks up whatever the central
-        // knob says on this CI leg...
-        let b = NoFtlBackend::new(NoFtl::new(NoFtlConfig::new(FlashGeometry::tiny())));
-        assert_eq!(
-            b.noftl().faults_enabled(),
-            fault_plan_from_env().is_some(),
-            "env plan must be injected into an unconfigured device"
-        );
-        // ...while an explicitly configured plan always wins over the env.
-        let mut noftl = NoFtl::new(NoFtlConfig::new(FlashGeometry::tiny()));
-        noftl.set_fault_plan(Some(nand_flash::FaultPlan::seeded(987654)));
-        let b = NoFtlBackend::new(noftl);
-        assert_eq!(
-            b.noftl().device().fault_plan().map(|p| p.seed),
-            Some(987654),
-            "an explicit fault plan must not be clobbered by the env default"
-        );
-    }
-
-    #[test]
-    fn explicit_async_config_wins_over_env_default() {
-        // Regression (code review): NoFtlBackend::new must not clobber an
-        // explicitly configured queue depth with the env default.
-        let mut cfg = NoFtlConfig::new(FlashGeometry::small());
-        cfg.async_queue_depth = 6;
-        let b = NoFtlBackend::new(NoFtl::new(cfg));
-        assert_eq!(b.noftl().async_depth(), 6);
     }
 
     #[test]
@@ -1242,80 +1168,67 @@ mod tests {
         assert!(m.poll_completions().is_empty(), "mem backend has no queues");
     }
 
-    #[test]
-    fn readahead_knob_parses_all_spellings() {
-        for (v, expect) in [
-            ("", DEFAULT_READAHEAD_WINDOW),
-            ("on", DEFAULT_READAHEAD_WINDOW),
-            ("TRUE", DEFAULT_READAHEAD_WINDOW),
-            ("off", 0),
-            ("False", 0),
-            ("0", 0),
-            ("1", 1),
-            (" 32 ", 32),
-            ("garbage", DEFAULT_READAHEAD_WINDOW),
-        ] {
-            assert_eq!(parse_readahead_window(v), expect, "spelling {v:?}");
-        }
+    /// The NoFTL settings the knobs inject: (async depth, fault seed, SLO
+    /// read occupancy, SLO heat penalty, region 1's redundancy).
+    fn injected(b: &NoFtlBackend) -> (usize, Option<u64>, usize, f64, RedundancyPolicy) {
+        let n = b.noftl();
+        let seed = n.device().fault_plan().map(|p| p.seed);
+        let (occupancy, heat) = (n.gc_schedule_read_occupancy(), n.gc_read_heat_penalty());
+        (n.async_depth(), seed, occupancy, heat, n.redundancy_policy(1))
     }
 
     #[test]
-    fn batch_knob_parses_all_spellings() {
-        for (v, expect) in [
-            ("", DEFAULT_BATCH_PAGES),
-            ("on", DEFAULT_BATCH_PAGES),
-            ("TRUE", DEFAULT_BATCH_PAGES),
-            ("off", 0),
-            ("False", 0),
-            ("0", 0),
-            ("1", 1),
-            (" 16 ", 16),
-            ("garbage", DEFAULT_BATCH_PAGES),
-        ] {
-            assert_eq!(parse_batch_pages(v), expect, "spelling {v:?}");
+    fn constructors_build_what_the_default_knobs_describe() {
+        let knobs = Knobs::default();
+        let debug = |x: &dyn std::fmt::Debug| format!("{x:?}");
+        assert_eq!(debug(&EngineConfig::new()), debug(&knobs.engine_config()));
+        for f in [FlusherConfig::global(3), FlusherConfig::die_wise(5)] {
+            assert_eq!(debug(&f), debug(&knobs.flushers(f)));
         }
+        let noftl = || NoFtl::new(NoFtlConfig::new(FlashGeometry::small()));
+        let unset = (1, None, 0, 0.0, RedundancyPolicy::None);
+        assert_eq!(injected(&NoFtlBackend::new(noftl())), unset);
+        assert_eq!(injected(&knobs.noftl_backend(noftl())), unset);
     }
 
     #[test]
-    fn slo_knob_parses_all_spellings() {
-        for (v, expect) in [
-            ("", false),
-            ("off", false),
-            ("False", false),
-            ("0", false),
-            ("no", false),
-            ("on", true),
-            ("TRUE", true),
-            ("1", true),
-            (" yes ", true),
-            ("garbage", false),
-        ] {
-            assert_eq!(parse_slo(v), expect, "spelling {v:?}");
-        }
-    }
-
-    #[test]
-    fn redundancy_knob_parses_all_spellings() {
-        for (v, expect) in [
-            ("", None),
-            ("off", None),
-            ("False", None),
-            ("0", None),
-            ("no", None),
-            ("none", None),
-            ("on", Some(RedundancyPolicy::Parity(DEFAULT_PARITY_K))),
-            ("TRUE", Some(RedundancyPolicy::Parity(DEFAULT_PARITY_K))),
-            (" yes ", Some(RedundancyPolicy::Parity(DEFAULT_PARITY_K))),
-            ("parity", Some(RedundancyPolicy::Parity(DEFAULT_PARITY_K))),
-            ("Parity:2", Some(RedundancyPolicy::Parity(2))),
-            ("parity: 5 ", Some(RedundancyPolicy::Parity(5))),
-            ("parity:0", None),
-            ("parity:junk", None),
-            ("MIRROR", Some(RedundancyPolicy::Mirror)),
-            ("garbage", None),
-        ] {
-            assert_eq!(parse_redundancy(v), expect, "spelling {v:?}");
-        }
+    fn knobs_fill_what_the_config_left_unset() {
+        let knobs = Knobs {
+            batch_pages: 4,
+            batch_global: true,
+            async_depth: 8,
+            readahead_window: 16,
+            faults: Some(nand_flash::FaultPlan::seeded(42)),
+            slo: true,
+            redundancy: Some(RedundancyPolicy::Parity(2)),
+        };
+        let cfg = knobs.engine_config();
+        assert_eq!((cfg.readahead_window, cfg.slo_scheduling), (16, true));
+        assert!(cfg.admission.is_some());
+        let f = knobs.flushers(FlusherConfig::die_wise(2));
+        assert_eq!((f.writers, f.batch_pages, f.batch_global, f.async_depth), (2, 4, true, 8));
+        let b = knobs.noftl_backend(NoFtl::new(NoFtlConfig::new(FlashGeometry::small())));
+        assert_eq!(
+            injected(&b),
+            (
+                8,
+                Some(42),
+                DEFAULT_SLO_GC_READ_OCCUPANCY,
+                DEFAULT_SLO_GC_READ_HEAT_PENALTY,
+                RedundancyPolicy::Parity(2)
+            )
+        );
+        // An explicitly configured value always wins.
+        let mut cfg = NoFtlConfig::new(FlashGeometry::small());
+        cfg.async_queue_depth = 6;
+        cfg.gc_schedule_read_occupancy = 7;
+        cfg.gc_read_heat_penalty = 0.25;
+        cfg.redundancy = vec![RedundancyPolicy::None, RedundancyPolicy::Mirror];
+        let mut noftl = NoFtl::new(cfg);
+        noftl.set_fault_plan(Some(nand_flash::FaultPlan::seeded(987654)));
+        let b = knobs.noftl_backend(noftl);
+        assert_eq!(injected(&b), (6, Some(987654), 7, 0.25, RedundancyPolicy::Mirror));
+        assert_eq!(b.noftl().redundancy_policy(0), RedundancyPolicy::None);
     }
 
     #[test]
@@ -1339,34 +1252,6 @@ mod tests {
     }
 
     #[test]
-    fn backend_injects_env_redundancy_only_when_none_configured() {
-        // An instance configured policy-free picks up whatever the central
-        // knob says on this CI leg...
-        let b = NoFtlBackend::new(NoFtl::new(NoFtlConfig::new(FlashGeometry::small())));
-        match redundancy_from_env() {
-            Some(p) => {
-                assert!(b.noftl().redundancy_configured());
-                for r in 0..b.regions() {
-                    assert_eq!(b.noftl().redundancy_policy(r), p);
-                }
-            }
-            None => assert!(!b.noftl().redundancy_configured()),
-        }
-        // ...while an explicitly configured vector always wins over the env.
-        let mut cfg = NoFtlConfig::new(FlashGeometry::small());
-        cfg.redundancy = vec![
-            RedundancyPolicy::None,
-            RedundancyPolicy::Mirror,
-            RedundancyPolicy::None,
-            RedundancyPolicy::None,
-        ];
-        let b = NoFtlBackend::new(NoFtl::new(cfg));
-        assert_eq!(b.noftl().redundancy_policy(1), RedundancyPolicy::Mirror);
-        assert_eq!(b.noftl().redundancy_policy(0), RedundancyPolicy::None);
-        assert_eq!(b.noftl().redundancy_policy(2), RedundancyPolicy::None);
-    }
-
-    #[test]
     fn noftl_backend_schedules_rebuild_through_the_trait() {
         // A healthy device has no rebuild work: the hook is a timing no-op
         // (the equivalence invariant for the engine's background slot).
@@ -1375,33 +1260,6 @@ mod tests {
         assert_eq!(b.noftl().rebuild_stats().rebuild_scheduled, 0);
         // Back ends without redundancy machinery return `now` unchanged.
         assert_eq!(MemBackend::new(512, 8).schedule_rebuild(7).unwrap(), 7);
-    }
-
-    #[test]
-    fn backend_injects_slo_gc_policies_only_when_none_configured() {
-        // An instance configured policy-free picks up whatever the central
-        // knob says on this CI leg...
-        let b = NoFtlBackend::new(NoFtl::new(NoFtlConfig::new(FlashGeometry::tiny())));
-        if slo_from_env() {
-            assert_eq!(
-                b.noftl().gc_schedule_read_occupancy(),
-                DEFAULT_SLO_GC_READ_OCCUPANCY
-            );
-            assert_eq!(
-                b.noftl().gc_read_heat_penalty(),
-                DEFAULT_SLO_GC_READ_HEAT_PENALTY
-            );
-        } else {
-            assert_eq!(b.noftl().gc_schedule_read_occupancy(), 0);
-            assert_eq!(b.noftl().gc_read_heat_penalty(), 0.0);
-        }
-        // ...while explicitly configured policies always win over the env.
-        let mut cfg = NoFtlConfig::new(FlashGeometry::tiny());
-        cfg.gc_schedule_read_occupancy = 7;
-        cfg.gc_read_heat_penalty = 0.25;
-        let b = NoFtlBackend::new(NoFtl::new(cfg));
-        assert_eq!(b.noftl().gc_schedule_read_occupancy(), 7);
-        assert_eq!(b.noftl().gc_read_heat_penalty(), 0.25);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The concurrent engine: N client sessions over one shared storage engine.
 //!
-//! [`ConcurrentEngine`] is the `NOFTL_THREADS` embedding of the engine: the
+//! [`ConcurrentEngine`] is the multi-client embedding of the engine: the
 //! buffer pool is sharded by page id ([`crate::shard::ShardedBufferPool`]),
 //! every other engine component sits behind its own lock, and each client
 //! drives the engine through a [`ClientSession`] handle implementing
@@ -17,7 +17,7 @@
 //! > catalog → transactions → free-space → WAL → flushers → backend →
 //! > shard 0 → shard 1 → …
 //!
-//! The admission-control state (`NOFTL_SLO`) is a leaf: its mutex is only
+//! The admission-control state (the SLO bundle) is a leaf: its mutex is only
 //! ever acquired *alone* — config copied out before any other lock is taken,
 //! counters bumped after every other lock is released — so it never extends
 //! the order above.
@@ -108,15 +108,15 @@ const _: () = {
 /// [`ConcurrentEngine::session`].  With 1 shard the pool is a plain
 /// [`crate::buffer::BufferPool`] behind one latch and every operation mirrors
 /// the single-threaded engine's call sequence exactly — device traces, WAL
-/// contents and virtual timings are identical (the `NOFTL_THREADS=1`
-/// equivalence leg).
+/// contents and virtual timings are identical (pinned by the
+/// single-client identity tests).
 pub struct ConcurrentEngine {
     shared: Arc<Shared>,
 }
 
 impl ConcurrentEngine {
     /// Create an engine over `backend` with `shards` buffer-pool shards
-    /// (typically the `NOFTL_THREADS` client count).
+    /// (typically the client count).
     pub fn new(
         mut backend: Box<dyn StorageBackend + Send>,
         config: EngineConfig,

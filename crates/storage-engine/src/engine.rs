@@ -10,8 +10,7 @@ use nand_flash::{FlashError, FlashResult};
 use sim_utils::time::SimInstant;
 
 use crate::backend::{
-    readahead_window_from_env, slo_from_env, BackendCounters, StorageBackend,
-    DEFAULT_SLO_FLUSH_OCCUPANCY,
+    BackendCounters, StorageBackend, DEFAULT_READAHEAD_WINDOW, DEFAULT_SLO_FLUSH_OCCUPANCY,
 };
 use crate::btree::BTree;
 use crate::buffer::{BufferPool, BufferStats, ReadaheadStats};
@@ -122,8 +121,8 @@ pub struct EngineConfig {
     /// Streaming-readahead window cap (pages) for heap scans and B+-tree
     /// range reads; 0 disables readahead.  Readahead only *issues* at an
     /// asynchronous depth > 1 — at depth 1 scans stay frame-at-a-time,
-    /// bit- and cycle-identical to the pre-readahead path.  Defaults to the
-    /// `NOFTL_READAHEAD` environment knob.
+    /// bit- and cycle-identical to the pre-readahead path.  Defaults to
+    /// [`DEFAULT_READAHEAD_WINDOW`].
     pub readahead_window: usize,
     /// Virtual CPU nanoseconds charged per buffer-pool hit.  Defaults to 0
     /// (hits are free, the historical model, and what every pinned trace
@@ -133,12 +132,12 @@ pub struct EngineConfig {
     pub buffer_hit_ns: u64,
     /// Commit-admission window for [`StorageEngine::begin_admitted`]; `None`
     /// leaves admission unbounded (every begin admits immediately — the
-    /// historical behaviour).  Defaults from the `NOFTL_SLO` knob.
+    /// historical behaviour).  Defaults to `None`.
     pub admission: Option<AdmissionConfig>,
     /// Load-aware background scheduling: flusher waves defer to busy device
     /// queues and GC is proactively scheduled into read-cold instants.  Off,
     /// [`StorageEngine::maybe_flush`] is bit- and cycle-identical to the
-    /// pre-SLO engine.  Defaults from the `NOFTL_SLO` knob.
+    /// pre-SLO engine.  Defaults to off.
     pub slo_scheduling: bool,
 }
 
@@ -146,18 +145,19 @@ impl EngineConfig {
     /// Reasonable defaults: 1024 frames, 4 global db-writers, 64 log pages,
     /// force-per-commit (group commit still batches the multi-page tail of
     /// each force; raising `wal_group_commit` additionally shares one force
-    /// among several committing transactions).
+    /// among several committing transactions), the default readahead
+    /// window, SLO policies off.  Reads no environment:
+    /// [`crate::backend::Knobs::engine_config`] applies the `NOFTL_*` knobs.
     pub fn new() -> Self {
-        let slo = slo_from_env();
         Self {
             buffer_frames: 1024,
             flushers: FlusherConfig::global(4),
             log_pages: 64,
             wal_group_commit: 1,
-            readahead_window: readahead_window_from_env(),
+            readahead_window: DEFAULT_READAHEAD_WINDOW,
             buffer_hit_ns: 0,
-            admission: slo.then(AdmissionConfig::default),
-            slo_scheduling: slo,
+            admission: None,
+            slo_scheduling: false,
         }
     }
 }
@@ -199,9 +199,9 @@ impl StorageEngine {
         let mut wal = WalManager::new(data_pages, config.log_pages, page_size);
         wal.set_group_commit(config.wal_group_commit);
         // The pool's miss-fill reads join the same asynchronous submission
-        // model as the db-writers (both default to the `NOFTL_ASYNC` knob via
-        // the flusher config), so point reads overlap in-flight flush and WAL
-        // traffic on the device's per-die queues.
+        // model as the db-writers (both at the flusher config's depth), so
+        // point reads overlap in-flight flush and WAL traffic on the device's
+        // per-die queues.
         let mut pool = BufferPool::new(config.buffer_frames, page_size);
         pool.set_async_depth(config.flushers.async_depth);
         pool.set_hit_cost_ns(config.buffer_hit_ns);
@@ -809,6 +809,11 @@ impl StorageEngine {
     pub fn wal(&self) -> &WalManager {
         &self.wal
     }
+
+    /// Mutably borrow the WAL (batch size and async depth).
+    pub fn wal_mut(&mut self) -> &mut WalManager {
+        &mut self.wal
+    }
 }
 
 #[cfg(test)]
@@ -836,7 +841,7 @@ mod tests {
     #[test]
     fn begin_admitted_without_window_is_plain_begin() {
         let mut e = mem_engine();
-        e.set_admission(None); // env-independent: the NOFTL_SLO=on leg runs this too
+        e.set_admission(None);
         e.create_table("t");
         let (txn, t) = e.begin_admitted(500).unwrap();
         assert_eq!(t, 500, "no window: admitted exactly at arrival");

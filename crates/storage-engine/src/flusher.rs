@@ -27,22 +27,17 @@
 //! when the last one finishes — exactly the quantity that differs between
 //! the two assignments in Figure 4.
 //!
-//! Batching is controlled by [`FlusherConfig::batch_pages`]; its default
-//! comes from the `NOFTL_BATCH` environment variable (see
-//! [`crate::backend::batch_pages_from_env`]).  A batch size of 1 submits
-//! degenerate single-page runs through the batch API and is bit- and
-//! timing-identical to batching off — the golden-trace equivalence suite
-//! pins that down.
+//! Batching is controlled by [`FlusherConfig::batch_pages`] (default
+//! [`DEFAULT_BATCH_PAGES`]).  A batch size of 1 submits degenerate
+//! single-page runs through the batch API and is bit- and timing-identical
+//! to batching off — the golden digest pins that down.
 
 use nand_flash::FlashResult;
 use noftl_core::FlusherAssignment;
 use serde::{Deserialize, Serialize};
 use sim_utils::time::SimInstant;
 
-use crate::backend::{
-    async_depth_from_env, batch_global_from_env, batch_pages_from_env, InflightWindow,
-    StorageBackend,
-};
+use crate::backend::{InflightWindow, StorageBackend, DEFAULT_BATCH_PAGES};
 use crate::buffer::BufferPool;
 use crate::page::PageId;
 
@@ -60,17 +55,17 @@ pub struct FlusherConfig {
     pub dirty_low_watermark: f64,
     /// Maximum pages per batched backend submission under the die-wise
     /// assignment; `0` keeps the legacy one-`write_page`-per-page model.
-    /// Defaults to the `NOFTL_BATCH` environment knob.
+    /// Defaults to [`DEFAULT_BATCH_PAGES`].
     pub batch_pages: usize,
-    /// Ablation: let the conventional **global** writers batch too (defaults
-    /// to the `NOFTL_BATCH_GLOBAL` environment knob, off).  Off preserves the
+    /// Ablation: let the conventional **global** writers batch too (default
+    /// off).  Off preserves the
     /// paper's Figure 4 asymmetry — global writers model the legacy per-page
     /// path; on quantifies how much of that gap NCQ-style batching alone
     /// closes without the writer-to-region association.
     pub batch_global: bool,
     /// Submissions each writer may keep in flight before gating on the
-    /// oldest one's completion.  Depth 1 (the default, from the `NOFTL_ASYNC`
-    /// environment knob) is the synchronous model — every submission waits
+    /// oldest one's completion.  Depth 1 (the default) is the synchronous
+    /// model — every submission waits
     /// for its predecessor — and is bit- and cycle-identical to the pre-async
     /// code.  Deeper windows let a writer's submissions, including ones from
     /// *different flush cycles*, pipeline on the device's per-die queues.
@@ -79,16 +74,19 @@ pub struct FlusherConfig {
 
 impl FlusherConfig {
     /// Conventional configuration: `writers` db-writers with global
-    /// assignment, flushing at 50 % dirty.
+    /// assignment, flushing at 50 % dirty, batching at the default size (the
+    /// global writers only use it under `batch_global`), synchronous.  Reads
+    /// no environment: [`crate::backend::Knobs::flushers`] applies the
+    /// `NOFTL_*` knobs.
     pub fn global(writers: usize) -> Self {
         Self {
             writers: writers.max(1),
             assignment: FlusherAssignment::Global,
             dirty_high_watermark: 0.5,
             dirty_low_watermark: 0.1,
-            batch_pages: batch_pages_from_env(),
-            batch_global: batch_global_from_env(),
-            async_depth: async_depth_from_env(),
+            batch_pages: DEFAULT_BATCH_PAGES,
+            batch_global: false,
+            async_depth: 1,
         }
     }
 
@@ -165,7 +163,7 @@ pub struct FlusherPool {
     windows: Vec<InflightWindow>,
     /// Load-aware wave throttle: defer a flush wave while the backend has
     /// this many commands in flight (0 = off, the pinned legacy behaviour).
-    /// Set by the engine from the `NOFTL_SLO` bundle — deliberately not a
+    /// Set by the engine from `EngineConfig::slo_scheduling` — deliberately not a
     /// [`FlusherConfig`] field, whose exhaustive literals are pinned all
     /// over the test suite.
     throttle_occupancy: usize,
@@ -785,23 +783,6 @@ mod tests {
             die_wise < global_legacy,
             "the full Figure 4 gap stays visible: die_wise={die_wise} global={global_legacy}"
         );
-    }
-
-    #[test]
-    fn batch_global_knob_parses_all_spellings() {
-        use crate::backend::parse_batch_global;
-        for (v, expect) in [
-            ("", false),
-            ("off", false),
-            ("0", false),
-            ("garbage", false),
-            ("on", true),
-            ("TRUE", true),
-            ("1", true),
-            (" yes ", true),
-        ] {
-            assert_eq!(parse_batch_global(v), expect, "spelling {v:?}");
-        }
     }
 
     #[test]

@@ -18,6 +18,16 @@
 //! (die-wise)* assignment (§3.2), which is what the Figure 4 experiment
 //! varies.
 //!
+//! ## Configuration
+//!
+//! Library code reads no environment.  [`engine::EngineConfig::new`],
+//! [`flusher::FlusherConfig::global`], [`wal::WalManager::new`] and
+//! [`backend::NoFtlBackend::new`] build the defaults; the seven `NOFTL_*`
+//! environment knobs are one plain value, [`backend::Knobs`], which a
+//! binary reads once with [`backend::Knobs::from_env`] and hands to the
+//! code that builds its stack.  Tests build `Knobs` values directly (or
+//! parse literal pairs with [`backend::Knobs::from_vars`]).
+//!
 //! ## The batched multi-page write path
 //!
 //! [`backend::StorageBackend::write_pages`] submits a whole run of pages as
@@ -44,8 +54,8 @@
 //! resolves to the later entry (as sequential writes would); a 1-page batch
 //! is command-, timing- and counter-identical to `write_page`; batching off
 //! (`NOFTL_BATCH=off`) and batch size 1 produce bit-identical results —
-//! the golden-trace equivalence suite (`tests/equivalence.rs`) enforces
-//! this against the Figure 3 / Figure 4 reproductions.
+//! `tests/equivalence.rs` enforces this on device command traces and
+//! `tests/golden_digest.rs` on whole TPC-C and TPC-B runs.
 //!
 //! The `NOFTL_BATCH_GLOBAL` ablation ([`flusher::FlusherConfig::batch_global`],
 //! default off) lets the conventional global writers batch too — isolating
@@ -141,10 +151,10 @@
 //!
 //! ## Concurrency model (PR 7)
 //!
-//! `NOFTL_THREADS` gates a concurrent embedding of the engine.  Unset (or
-//! `1`/`off`) keeps today's single-threaded [`engine::StorageEngine`] code
-//! path untouched — pinned bit- and cycle-identical by
-//! `tests/equivalence.rs`.  With more threads, N clients share one
+//! [`concurrent::ConcurrentEngine`] is a concurrent embedding of the
+//! engine; with one shard and one client it is bit- and cycle-identical to
+//! the single-threaded [`engine::StorageEngine`] (pinned by
+//! `tests/equivalence.rs`).  N clients share one
 //! [`concurrent::ConcurrentEngine`] through per-client
 //! [`concurrent::ClientSession`] handles (each recording its own commit
 //! stream), driven by `workloads::MultiClientDriver`.
@@ -208,14 +218,15 @@
 //!   arrival process's natural gaps instead of ahead of point reads.
 //!
 //! Engine-side the bundle enters through [`engine::EngineConfig`]
-//! (`admission`, `slo_scheduling`), defaulted from the knob by
-//! `backend::slo_from_env`; explicit configuration always wins over the
-//! environment.
+//! (`admission`, `slo_scheduling`), set from the knob by
+//! [`backend::Knobs::engine_config`]; [`backend::Knobs::noftl_backend`]
+//! injects the GC half into NoFTL instances configured without it.
 //!
 //! ## Die-level failure tolerance (PR 10)
 //!
-//! `NOFTL_REDUNDANCY` (parsed by [`backend::parse_redundancy`], injected
-//! only when [`noftl_core::NoFtlConfig::redundancy`] is unconfigured) arms
+//! `NOFTL_REDUNDANCY` (parsed by [`backend::Knobs::from_vars`], injected by
+//! [`backend::Knobs::noftl_backend`] only when
+//! [`noftl_core::NoFtlConfig::redundancy`] is unconfigured) arms
 //! per-region redundancy in the NoFTL core: `parity` / `parity:k` for
 //! die-disjoint XOR stripes, `mirror` for per-page die-disjoint copies,
 //! `off` (the default) bit- and cycle-identical to unset.  The engine's part

@@ -4,8 +4,7 @@
 //! [`crate::concurrent::ClientSession`] handle onto the shared
 //! [`crate::concurrent::ConcurrentEngine`], so the TPC drivers
 //! (`workloads::TpcB`, `workloads::TpcC`) run unchanged against either: one
-//! logical client over one engine, or N sessions over one engine under
-//! `NOFTL_THREADS`.
+//! logical client over one engine, or N sessions over one engine.
 //!
 //! The closure-taking entry points (`scan`, `index_range`) take `&mut dyn
 //! FnMut` rather than a generic parameter so the trait stays object-safe —

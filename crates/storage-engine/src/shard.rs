@@ -17,7 +17,7 @@
 //! A 1-shard pool is exactly a plain [`BufferPool`] behind one latch: the
 //! modulo routing is the identity, so every access sequence — and therefore
 //! every device trace — is bit- and cycle-identical to the single-threaded
-//! engine.  That is what pins the `NOFTL_THREADS=1` equivalence leg.
+//! engine.  That is what the single-client identity tests pin.
 
 use nand_flash::FlashResult;
 use parking_lot::Mutex;

@@ -31,7 +31,7 @@
 use nand_flash::FlashResult;
 use sim_utils::time::SimInstant;
 
-use crate::backend::{async_depth_from_env, batch_pages_from_env, InflightWindow, StorageBackend};
+use crate::backend::{InflightWindow, StorageBackend, DEFAULT_BATCH_PAGES};
 use crate::page::PageId;
 use crate::transaction::TxnId;
 
@@ -244,7 +244,10 @@ pub struct WalManager {
 }
 
 impl WalManager {
-    /// Create a WAL over the page range `[log_start, log_start + log_pages)`.
+    /// Create a WAL over the page range `[log_start, log_start + log_pages)`,
+    /// batching forces at [`DEFAULT_BATCH_PAGES`] pages, synchronous, one
+    /// commit per force.  Reads no environment: see
+    /// [`crate::backend::Knobs::engine`].
     pub fn new(log_start: PageId, log_pages: u64, page_size: usize) -> Self {
         assert!(log_pages >= 2, "log segment too small");
         assert!(
@@ -265,8 +268,8 @@ impl WalManager {
             next_log_page: 0,
             log_writes: 0,
             forces: 0,
-            batch_pages: batch_pages_from_env(),
-            async_depth: async_depth_from_env(),
+            batch_pages: DEFAULT_BATCH_PAGES,
+            async_depth: 1,
             inflight: InflightWindow::new(),
             group_commit: 1,
             pending_commits: 0,

@@ -4,7 +4,7 @@
 //!   one single-threaded engine and reports transactional throughput (TPS)
 //!   and response times — the numbers shown on the paper's Figure 4 axes.
 //! * [`MultiClientDriver`] runs N clients as separate [`ClientSession`]s of
-//!   one shared [`ConcurrentEngine`] (the `NOFTL_THREADS` path), each with
+//!   one shared [`ConcurrentEngine`], each with
 //!   its own workload instance over a disjoint data partition, either
 //!   deterministically interleaved or on real OS threads.
 //! * [`OpenLoopDriver`] offers requests at a configured *arrival rate*

@@ -20,7 +20,7 @@ pub enum TxnKind {
 /// "a workload over the single-threaded engine".  Workloads implemented
 /// generically over [`EngineOps`] (TPC-B, TPC-C) additionally run against a
 /// `storage_engine::ClientSession` — one of N concurrent clients sharing a
-/// `storage_engine::ConcurrentEngine` under `NOFTL_THREADS`.
+/// `storage_engine::ConcurrentEngine`.
 pub trait Workload<E: EngineOps = StorageEngine> {
     /// Workload name ("tpcb", "tpcc", ...).
     fn name(&self) -> &'static str;

@@ -15,13 +15,12 @@
 //!   retry), and the grown-bad-block census matches the retirement count.
 //!
 //! The storms run both the synchronous model (depth 1) and the asynchronous
-//! per-die queues at depth 8.  `fault_storm_smoke` honours the
-//! `NOFTL_FAULTS` knob (any seed given there drives the plan) so CI can pin
-//! a seed; the proptest storms draw their own seeds deterministically.
+//! per-die queues at depth 8.  `fault_storm_smoke` runs one fixed seed; the
+//! proptest storms draw their own seeds deterministically.
 
 use proptest::prelude::*;
 
-use noftl::nand_flash::fault::{FaultPlan, DEFAULT_FAULT_SEED};
+use noftl::nand_flash::fault::FaultPlan;
 use noftl::nand_flash::{DeviceConfig, FlashError, FlashGeometry, NandDevice};
 use noftl::noftl_core::{NoFtl, NoFtlConfig, RedundancyPolicy};
 use noftl::sim_utils::time::SimInstant;
@@ -55,9 +54,8 @@ fn chaos_plan(seed: u64) -> FaultPlan {
 }
 
 /// Full NoFTL stack with fault injection: device (with `plan`) → NoFTL →
-/// backend → engine, at the given asynchronous submission depth.  The depth
-/// is set explicitly on every layer so the chaos runs are independent of the
-/// `NOFTL_ASYNC` environment leg they happen to execute under.
+/// backend → engine, at the given asynchronous submission depth, set
+/// explicitly on every layer.
 fn chaos_engine(plan: FaultPlan, depth: usize, endurance: Option<u64>) -> StorageEngine {
     chaos_engine_on(FlashGeometry::small(), plan, depth, endurance, None)
 }
@@ -98,8 +96,7 @@ fn chaos_engine_with_frames(
     dev_cfg.endurance_override = cfg.endurance_override;
     dev_cfg.faults = Some(plan);
     let noftl = NoFtl::with_device(NandDevice::new(dev_cfg), cfg);
-    let mut backend = NoFtlBackend::new(noftl);
-    backend.noftl_mut().set_async_depth(depth);
+    let backend = NoFtlBackend::new(noftl);
 
     let mut ecfg = EngineConfig::new();
     // A pool far smaller than the database, so reads genuinely hit the
@@ -468,13 +465,11 @@ fn redundant_engine_with_frames(
     cfg.op_ratio = 0.60;
     let mut dev_cfg = DeviceConfig::new(geometry);
     dev_cfg.store_data = cfg.store_data;
-    // An explicit (inert) plan, so the storms are independent of the
-    // `NOFTL_FAULTS` environment leg they happen to execute under.
+    // An explicit, inert plan: every probabilistic failure mode zeroed.
     dev_cfg.faults = Some(quiet_plan());
     let mut noftl = NoFtl::with_device(NandDevice::new(dev_cfg), cfg);
     noftl.set_redundancy_all(policy);
-    let mut backend = NoFtlBackend::new(noftl);
-    backend.noftl_mut().set_async_depth(depth);
+    let backend = NoFtlBackend::new(noftl);
 
     let mut ecfg = EngineConfig::new();
     ecfg.buffer_frames = buffer_frames;
@@ -754,30 +749,21 @@ fn die_loss_without_redundancy_fails_typed_and_counts_losses() {
     );
 }
 
-/// CI smoke: one die-kill rebuild storm whose policy honours the
-/// `NOFTL_REDUNDANCY` knob (`NOFTL_REDUNDANCY=parity` pins `Parity(3)`,
-/// `parity:k` and `mirror` pin theirs); with the knob off or unset the
-/// default parity policy is used, so the smoke always exercises a
-/// mid-workload die failure, the online rebuild and the loss accounting.
+/// Smoke: one die-kill rebuild storm on `Parity(3)` regions, at depth 8
+/// with a crash-at-boundary leg and synchronously — a mid-workload die
+/// failure, the online rebuild and the loss accounting end to end.
 #[test]
 fn redundancy_rebuild_smoke() {
-    let policy = noftl::storage_engine::backend::redundancy_from_env()
-        .unwrap_or(RedundancyPolicy::Parity(
-            noftl::storage_engine::backend::DEFAULT_PARITY_K,
-        ));
+    let policy = RedundancyPolicy::Parity(3);
     die_kill_storm(policy, 0xD1E5EED, 8, true);
     die_kill_storm(policy, 0xD1E5EED, 1, false);
 }
 
-/// CI smoke: one TPC-B storm with a crash-at-boundary leg.  The plan's seed
-/// honours the `NOFTL_FAULTS` knob (`NOFTL_FAULTS=12345` pins seed 12345);
-/// with the knob off or unset the default fault seed is used, so the smoke
-/// always exercises the recovery machinery.
+/// Smoke: one TPC-B storm seeded `3735928559`, at depth 8 with a
+/// crash-at-boundary leg and synchronously.
 #[test]
 fn fault_storm_smoke() {
-    let seed = noftl::storage_engine::backend::fault_plan_from_env()
-        .unwrap_or_else(|| FaultPlan::seeded(DEFAULT_FAULT_SEED))
-        .seed;
+    let seed = 3_735_928_559;
     tpcb_storm(seed, 8, true);
     tpcb_storm(seed, 1, false);
 }

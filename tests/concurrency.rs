@@ -62,9 +62,8 @@ fn storm_plan(seed: u64) -> FaultPlan {
 }
 
 /// Full concurrent stack: device (optionally with a fault plan) → NoFTL →
-/// backend → [`ConcurrentEngine`] with `shards` buffer-pool shards.  Every
-/// knob is set explicitly so the harness is independent of the `NOFTL_*`
-/// environment legs it happens to run under.
+/// backend → [`ConcurrentEngine`] with `shards` buffer-pool shards, every
+/// setting explicit.
 fn concurrent_engine(plan: Option<FaultPlan>, depth: usize, shards: usize) -> ConcurrentEngine {
     let geometry = FlashGeometry::small();
     let mut cfg = NoFtlConfig::new(geometry);
@@ -73,8 +72,7 @@ fn concurrent_engine(plan: Option<FaultPlan>, depth: usize, shards: usize) -> Co
     dev_cfg.store_data = cfg.store_data;
     dev_cfg.faults = plan;
     let noftl = NoFtl::with_device(NandDevice::new(dev_cfg), cfg);
-    let mut backend = NoFtlBackend::new(noftl);
-    backend.noftl_mut().set_async_depth(depth);
+    let backend = NoFtlBackend::new(noftl);
 
     let mut ecfg = EngineConfig::new();
     // A pool smaller than the combined working set, so clients genuinely
@@ -580,17 +578,14 @@ fn os_thread_storm_survives_fault_injection() {
     assert_tpcb_partitions_consistent(&engine, clients, end);
 }
 
-/// High-iteration storm smoke for CI: honours `NOFTL_THREADS` for the
-/// client count (so the matrix legs exercise 1 and 8 clients) and
-/// `NOFTL_FAULTS` for the fault leg, like the chaos smoke.
+/// High-iteration storm smoke: 2, 8 and 16 clients, each with faults off
+/// and on.
 #[test]
 fn concurrent_storm_smoke() {
-    let clients = std::env::var("NOFTL_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(2);
-    let faults = std::env::var("NOFTL_FAULTS").is_ok_and(|v| !v.is_empty() && v != "0");
-    storm(0xD1E5, clients, false, 8, faults);
-    storm(0xD1E5, clients, true, 8, faults);
+    for clients in [2, 8, 16] {
+        for faults in [false, true] {
+            storm(0xD1E5, clients, false, 8, faults);
+            storm(0xD1E5, clients, true, 8, faults);
+        }
+    }
 }

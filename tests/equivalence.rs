@@ -1,125 +1,53 @@
 //! Golden-trace equivalence of the batched multi-page write path and the
 //! asynchronous per-die command queues.
 //!
-//! The batch write protocol promises that batching **off** (`NOFTL_BATCH=off`,
-//! legacy one-`write_page`-per-page everywhere) and batching **on with batch
-//! size 1** (every write routed through the `write_pages` API as a degenerate
-//! single-page run) are indistinguishable: same Figure 3 / Figure 4 outputs,
-//! same emulator command traces, same timing.  Larger batch sizes may change
-//! *timing* (that is the point) but never page *contents*.
+//! The batch write protocol promises that batching **off** (legacy
+//! one-`write_page`-per-page everywhere) and batching **on with batch size
+//! 1** (every write routed through the `write_pages` API as a degenerate
+//! single-page run) are indistinguishable: same emulator command traces,
+//! same timing.  Larger batch sizes may change *timing* (that is the point)
+//! but never page *contents*.  (`tests/golden_digest.rs` pins the same
+//! promise on whole TPC-C and TPC-B runs.)
 //!
-//! The asynchronous submission protocol (PR 3) makes the same promise for
-//! `NOFTL_ASYNC`: depth 1 — every submission waits for its predecessor — is
-//! bit- and cycle-identical to the synchronous dispatch (`NOFTL_ASYNC`
-//! unset/`off`); deeper windows may change timing but never contents, and a
-//! crash with commands still in flight recovers exactly the durable prefix.
+//! The asynchronous submission protocol makes the same promise for the
+//! async depth: depth 1 — every submission waits for its predecessor — is
+//! bit- and cycle-identical to the synchronous dispatch; deeper windows may
+//! change timing but never contents, and a crash with commands still in
+//! flight recovers exactly the durable prefix.
 //!
-//! These tests run the same library entry points the `fig3_gc_overhead` and
-//! `fig4_dbwriters` bins print.
-
-use std::sync::Mutex;
+//! Every test configures its stack explicitly; the `*_unset_vs_off` legs
+//! compare the plain constructors against the same stack with a
+//! [`Knobs`] value parsed from an `off` spelling applied.  The `fig3_*` and
+//! `fig4_*` legs make the same comparisons on whole figures, through the
+//! library entry points the `fig3_gc_overhead` and `fig4_dbwriters` bins
+//! print.
 
 use noftl::nand_flash::{DeviceConfig, FlashGeometry, NandDevice};
 use noftl::noftl_core::{FlusherAssignment, NoFtl, NoFtlConfig};
-use noftl::storage_engine::backend::{NoFtlBackend, StorageBackend};
+use noftl::storage_engine::backend::{Knobs, NoFtlBackend, StorageBackend};
 use noftl::storage_engine::flusher::{FlusherConfig, FlusherPool};
 use noftl::storage_engine::BufferPool;
-use noftl_bench::dbwriters::{render_table as render_fig4, run_dbwriter_scaling};
-use noftl_bench::gc_overhead::{render_table as render_fig3, run_gc_overhead};
-use noftl_bench::setup::{Benchmark, Scale};
-
-/// Serialises the tests that flip the process-global `NOFTL_BATCH` knob.
-static ENV_LOCK: Mutex<()> = Mutex::new(());
-
-fn with_batch_env<R>(value: &str, f: impl FnOnce() -> R) -> R {
-    std::env::set_var("NOFTL_BATCH", value);
-    let r = f();
-    std::env::remove_var("NOFTL_BATCH");
-    r
-}
-
-fn with_async_env<R>(value: Option<&str>, f: impl FnOnce() -> R) -> R {
-    let saved = std::env::var("NOFTL_ASYNC").ok();
-    match value {
-        Some(v) => std::env::set_var("NOFTL_ASYNC", v),
-        None => std::env::remove_var("NOFTL_ASYNC"),
-    }
-    let r = f();
-    match saved {
-        Some(v) => std::env::set_var("NOFTL_ASYNC", v),
-        None => std::env::remove_var("NOFTL_ASYNC"),
-    }
-    r
-}
-
-fn with_faults_env<R>(value: Option<&str>, f: impl FnOnce() -> R) -> R {
-    let saved = std::env::var("NOFTL_FAULTS").ok();
-    match value {
-        Some(v) => std::env::set_var("NOFTL_FAULTS", v),
-        None => std::env::remove_var("NOFTL_FAULTS"),
-    }
-    let r = f();
-    match saved {
-        Some(v) => std::env::set_var("NOFTL_FAULTS", v),
-        None => std::env::remove_var("NOFTL_FAULTS"),
-    }
-    r
-}
-
-fn with_slo_env<R>(value: Option<&str>, f: impl FnOnce() -> R) -> R {
-    let saved = std::env::var("NOFTL_SLO").ok();
-    match value {
-        Some(v) => std::env::set_var("NOFTL_SLO", v),
-        None => std::env::remove_var("NOFTL_SLO"),
-    }
-    let r = f();
-    match saved {
-        Some(v) => std::env::set_var("NOFTL_SLO", v),
-        None => std::env::remove_var("NOFTL_SLO"),
-    }
-    r
-}
-
-#[test]
-fn fig3_output_identical_with_batching_off_vs_batch_size_one() {
-    let _guard = ENV_LOCK.lock().unwrap();
-    let off = with_batch_env("off", || render_fig3(&run_gc_overhead(Scale::Quick)));
-    let one = with_batch_env("1", || render_fig3(&run_gc_overhead(Scale::Quick)));
-    assert!(off.contains("TPC-C") && off.contains("TPC-B") && off.contains("TPC-E"));
-    assert_eq!(
-        off, one,
-        "Figure 3 output must be bit-identical with batching off vs batch size 1"
-    );
-}
-
-#[test]
-fn fig4_output_identical_with_batching_off_vs_batch_size_one() {
-    let _guard = ENV_LOCK.lock().unwrap();
-    let dies = [1u32, 2, 4, 8];
-    let off = with_batch_env("off", || {
-        render_fig4(&run_dbwriter_scaling(Benchmark::TpcB, Scale::Quick, &dies))
-    });
-    let one = with_batch_env("1", || {
-        render_fig4(&run_dbwriter_scaling(Benchmark::TpcB, Scale::Quick, &dies))
-    });
-    assert!(off.contains("TPC-B"));
-    assert_eq!(
-        off, one,
-        "Figure 4 output must be bit-identical with batching off vs batch size 1"
-    );
-}
 
 /// Run two die-wise flush cycles over a traced device and return
 /// (command trace, per-page readback, completion barrier).  `async_depth` 1
 /// is the synchronous dispatch; deeper windows submit through the per-die
 /// command queues.
 fn traced_flush_cycles(batch_pages: usize, async_depth: usize) -> (Vec<String>, Vec<Vec<u8>>, u64) {
+    traced_flush_cycles_on(batch_pages, async_depth, NoFtlBackend::new)
+}
+
+/// [`traced_flush_cycles`] with the NoFTL instance wrapped by `wrap`.
+fn traced_flush_cycles_on(
+    batch_pages: usize,
+    async_depth: usize,
+    wrap: impl FnOnce(NoFtl) -> NoFtlBackend,
+) -> (Vec<String>, Vec<Vec<u8>>, u64) {
     let geometry = FlashGeometry::with_dies(4, 256, 32, 4096);
     let mut dev_cfg = DeviceConfig::new(geometry);
     dev_cfg.trace_capacity = 4096;
     let device = NandDevice::new(dev_cfg);
     let noftl = NoFtl::with_device(device, NoFtlConfig::new(geometry));
-    let mut backend = NoFtlBackend::new(noftl);
+    let mut backend = wrap(noftl);
     backend.set_async_depth(async_depth);
 
     let mut pool = BufferPool::new(128, 4096);
@@ -200,55 +128,14 @@ fn page_contents_identical_for_all_batch_sizes() {
 }
 
 #[test]
-fn fig3_output_identical_with_async_off_vs_depth_one() {
-    let _guard = ENV_LOCK.lock().unwrap();
-    let off = with_async_env(None, || render_fig3(&run_gc_overhead(Scale::Quick)));
-    let one = with_async_env(Some("1"), || render_fig3(&run_gc_overhead(Scale::Quick)));
-    assert_eq!(
-        off, one,
-        "Figure 3 output must be bit-identical with NOFTL_ASYNC unset vs depth 1"
-    );
-}
-
-#[test]
-fn fig4_output_identical_with_async_off_vs_depth_one() {
-    let _guard = ENV_LOCK.lock().unwrap();
-    let dies = [1u32, 2, 4, 8];
-    let off = with_async_env(None, || {
-        render_fig4(&run_dbwriter_scaling(Benchmark::TpcB, Scale::Quick, &dies))
-    });
-    let one = with_async_env(Some("1"), || {
-        render_fig4(&run_dbwriter_scaling(Benchmark::TpcB, Scale::Quick, &dies))
-    });
-    assert_eq!(
-        off, one,
-        "Figure 4 output must be bit-identical with NOFTL_ASYNC unset vs depth 1"
-    );
-}
-
-#[test]
-fn fig3_output_identical_with_faults_unset_vs_off() {
-    // The fault-injection plumbing must be a strict no-op when disabled:
-    // `NOFTL_FAULTS=off` has to produce the same figures as a build that never
-    // heard of the knob.
-    let _guard = ENV_LOCK.lock().unwrap();
-    let unset = with_faults_env(None, || render_fig3(&run_gc_overhead(Scale::Quick)));
-    let off = with_faults_env(Some("off"), || render_fig3(&run_gc_overhead(Scale::Quick)));
-    assert_eq!(
-        unset, off,
-        "Figure 3 output must be bit-identical with NOFTL_FAULTS unset vs off"
-    );
-}
-
-#[test]
 fn emulator_command_traces_identical_with_faults_unset_vs_off() {
     // Stronger than figure identity: the device-level command stream — every
     // opcode, address, issue and completion stamp — must match cycle for
     // cycle with the fault knob explicitly off.
-    let _guard = ENV_LOCK.lock().unwrap();
-    let (trace_unset, contents_unset, end_unset) = with_faults_env(None, || traced_flush_cycles(64, 1));
+    let off = Knobs::from_vars([("NOFTL_FAULTS", "off")]);
+    let (trace_unset, contents_unset, end_unset) = traced_flush_cycles(64, 1);
     let (trace_off, contents_off, end_off) =
-        with_faults_env(Some("off"), || traced_flush_cycles(64, 1));
+        traced_flush_cycles_on(64, 1, |n| off.noftl_backend(n));
     assert!(!trace_unset.is_empty());
     assert_eq!(trace_unset, trace_off);
     assert_eq!(contents_unset, contents_off);
@@ -261,19 +148,12 @@ fn emulator_command_traces_identical_for_sync_vs_async_depth_one() {
     // commands, same addresses, same issue and completion stamps — across
     // *two* flush cycles, where a deeper window would start pipelining.
     let (trace_sync, contents_sync, end_sync) = traced_flush_cycles(64, 1);
-    let (trace_one, contents_one, end_one) =
-        traced_flush_cycles(64, storage_engine_parse_async("1"));
+    let one = Knobs::from_vars([("NOFTL_ASYNC", "1")]).async_depth;
+    let (trace_one, contents_one, end_one) = traced_flush_cycles(64, one);
     assert!(!trace_sync.is_empty());
     assert_eq!(trace_sync, trace_one);
     assert_eq!(contents_sync, contents_one);
     assert_eq!(end_sync, end_one);
-}
-
-/// `NOFTL_ASYNC=1` must parse to the synchronous depth.
-fn storage_engine_parse_async(v: &str) -> usize {
-    let depth = noftl::storage_engine::backend::parse_async_depth(v);
-    assert_eq!(depth, 1, "NOFTL_ASYNC=1 must mean synchronous dispatch");
-    depth
 }
 
 #[test]
@@ -392,8 +272,8 @@ fn read_command_traces_identical_for_sync_vs_async_depth_one() {
     // read/write workload with GC running: same commands, same addresses,
     // same stamps — for reads, programs, erases and relocations alike.
     let (trace_sync, contents_sync, end_sync) = traced_mixed_read_write(1);
-    let (trace_one, contents_one, end_one) =
-        traced_mixed_read_write(storage_engine_parse_async("1"));
+    let one = Knobs::from_vars([("NOFTL_ASYNC", "1")]).async_depth;
+    let (trace_one, contents_one, end_one) = traced_mixed_read_write(one);
     assert!(!trace_sync.is_empty());
     assert!(
         trace_sync.iter().any(|e| e.contains("Read")),
@@ -800,62 +680,10 @@ fn wal_log_contents_identical_for_all_batch_sizes() {
 }
 
 // ---------------------------------------------------------------------------
-// NOFTL_THREADS: single-client leg of the concurrent engine (PR 7)
+// Single-client leg of the concurrent engine
 // ---------------------------------------------------------------------------
 
-fn with_threads_env<R>(value: Option<&str>, f: impl FnOnce() -> R) -> R {
-    let saved = std::env::var("NOFTL_THREADS").ok();
-    match value {
-        Some(v) => std::env::set_var("NOFTL_THREADS", v),
-        None => std::env::remove_var("NOFTL_THREADS"),
-    }
-    let r = f();
-    match saved {
-        Some(v) => std::env::set_var("NOFTL_THREADS", v),
-        None => std::env::remove_var("NOFTL_THREADS"),
-    }
-    r
-}
-
-/// `NOFTL_THREADS=1` and every "off" spelling must mean the single-threaded
-/// path (the figure pipelines run the plain [`StorageEngine`] there).
-#[test]
-fn threads_knob_single_client_spellings() {
-    use noftl::storage_engine::backend::parse_threads;
-    for v in ["1", "off", "false", "0", ""] {
-        assert_eq!(parse_threads(v), 1, "NOFTL_THREADS={v:?} must mean one client");
-    }
-}
-
-#[test]
-fn fig3_output_identical_with_threads_unset_vs_one() {
-    let _guard = ENV_LOCK.lock().unwrap();
-    let unset = with_threads_env(None, || render_fig3(&run_gc_overhead(Scale::Quick)));
-    let one = with_threads_env(Some("1"), || render_fig3(&run_gc_overhead(Scale::Quick)));
-    assert!(unset.contains("TPC-B"));
-    assert_eq!(
-        unset, one,
-        "Figure 3 output must be bit-identical with NOFTL_THREADS unset vs 1"
-    );
-}
-
-#[test]
-fn fig4_output_identical_with_threads_unset_vs_one() {
-    let _guard = ENV_LOCK.lock().unwrap();
-    let dies = [1u32, 2, 4, 8];
-    let unset = with_threads_env(None, || {
-        render_fig4(&run_dbwriter_scaling(Benchmark::TpcB, Scale::Quick, &dies))
-    });
-    let one = with_threads_env(Some("1"), || {
-        render_fig4(&run_dbwriter_scaling(Benchmark::TpcB, Scale::Quick, &dies))
-    });
-    assert_eq!(
-        unset, one,
-        "Figure 4 output must be bit-identical with NOFTL_THREADS unset vs 1"
-    );
-}
-
-/// The structural pin behind the knob: one client driving the concurrent
+/// One client driving the concurrent
 /// engine at one shard must be **bit- and cycle-identical** to the plain
 /// single-threaded engine — same device command trace, same durable WAL
 /// records, same commit count, same WAL forces, same buffer-pool counters,
@@ -889,10 +717,7 @@ mod threads_single_client_identity {
         let mut dev_cfg = DeviceConfig::new(geometry);
         dev_cfg.store_data = cfg.store_data;
         dev_cfg.trace_capacity = 1 << 16;
-        let noftl = NoFtl::with_device(NandDevice::new(dev_cfg), cfg);
-        let mut backend = NoFtlBackend::new(noftl);
-        backend.noftl_mut().set_async_depth(depth);
-        backend
+        NoFtlBackend::new(NoFtl::with_device(NandDevice::new(dev_cfg), cfg))
     }
 
     fn engine_config(depth: usize) -> EngineConfig {
@@ -998,92 +823,31 @@ mod threads_single_client_identity {
     }
 }
 
-fn with_redundancy_env<R>(value: Option<&str>, f: impl FnOnce() -> R) -> R {
-    let saved = std::env::var("NOFTL_REDUNDANCY").ok();
-    match value {
-        Some(v) => std::env::set_var("NOFTL_REDUNDANCY", v),
-        None => std::env::remove_var("NOFTL_REDUNDANCY"),
-    }
-    let r = f();
-    match saved {
-        Some(v) => std::env::set_var("NOFTL_REDUNDANCY", v),
-        None => std::env::remove_var("NOFTL_REDUNDANCY"),
-    }
-    r
-}
-
-#[test]
-fn fig3_output_identical_with_redundancy_unset_vs_off() {
-    // The redundancy plumbing (parity stripes, mirror copies, degraded
-    // reads, online rebuild) must be a strict no-op when disabled:
-    // `NOFTL_REDUNDANCY=off` has to produce the same figures as a build that
-    // never heard of the knob.
-    let _guard = ENV_LOCK.lock().unwrap();
-    let unset = with_redundancy_env(None, || render_fig3(&run_gc_overhead(Scale::Quick)));
-    let off = with_redundancy_env(Some("off"), || render_fig3(&run_gc_overhead(Scale::Quick)));
-    assert_eq!(
-        unset, off,
-        "Figure 3 output must be bit-identical with NOFTL_REDUNDANCY unset vs off"
-    );
-}
-
-#[test]
-fn fig4_output_identical_with_redundancy_unset_vs_off() {
-    let _guard = ENV_LOCK.lock().unwrap();
-    let dies = [1u32, 2, 4, 8];
-    let unset = with_redundancy_env(None, || {
-        render_fig4(&run_dbwriter_scaling(Benchmark::TpcB, Scale::Quick, &dies))
-    });
-    let off = with_redundancy_env(Some("off"), || {
-        render_fig4(&run_dbwriter_scaling(Benchmark::TpcB, Scale::Quick, &dies))
-    });
-    assert_eq!(
-        unset, off,
-        "Figure 4 output must be bit-identical with NOFTL_REDUNDANCY unset vs off"
-    );
-}
-
 #[test]
 fn emulator_command_traces_identical_with_redundancy_unset_vs_off() {
     // Stronger than figure identity: the device-level command stream — every
     // opcode, address, issue and completion stamp — must match cycle for
     // cycle across two flush cycles with the redundancy knob explicitly off.
-    let _guard = ENV_LOCK.lock().unwrap();
-    let (trace_unset, contents_unset, end_unset) =
-        with_redundancy_env(None, || traced_flush_cycles(64, 1));
+    let off = Knobs::from_vars([("NOFTL_REDUNDANCY", "off")]);
+    let (trace_unset, contents_unset, end_unset) = traced_flush_cycles(64, 1);
     let (trace_off, contents_off, end_off) =
-        with_redundancy_env(Some("off"), || traced_flush_cycles(64, 1));
+        traced_flush_cycles_on(64, 1, |n| off.noftl_backend(n));
     assert!(!trace_unset.is_empty());
     assert_eq!(trace_unset, trace_off);
     assert_eq!(contents_unset, contents_off);
     assert_eq!(end_unset, end_off);
 }
 
-#[test]
-fn fig3_output_identical_with_slo_unset_vs_off() {
-    // The SLO plumbing (admission control, throttled waves, proactive GC)
-    // must be a strict no-op when disabled: `NOFTL_SLO=off` has to produce
-    // the same figures as a build that never heard of the knob.
-    let _guard = ENV_LOCK.lock().unwrap();
-    let unset = with_slo_env(None, || render_fig3(&run_gc_overhead(Scale::Quick)));
-    let off = with_slo_env(Some("off"), || render_fig3(&run_gc_overhead(Scale::Quick)));
-    assert_eq!(
-        unset, off,
-        "Figure 3 output must be bit-identical with NOFTL_SLO unset vs off"
-    );
-}
-
-/// The structural pin behind `NOFTL_SLO`: with the knob unset or `off`, an
-/// engine built from the env-derived defaults must be **bit- and
-/// cycle-identical** to the pre-SLO engine — same device command trace, same
-/// durable WAL records, same commit count, same forces, same end time — for
-/// a workload driven through the admission-aware `begin_admitted` surface.
+/// The structural pin behind `NOFTL_SLO`: an engine built with the SLO knob
+/// `off` must be **bit- and cycle-identical** to one built by the plain
+/// constructors — same device command trace, same durable WAL records, same
+/// commit count, same forces, same end time — for a workload driven through
+/// the admission-aware `begin_admitted` surface.
 mod slo_off_identity {
-    use super::{with_slo_env, ENV_LOCK};
     use noftl::nand_flash::{DeviceConfig, FlashGeometry, NandDevice};
     use noftl::noftl_core::{NoFtl, NoFtlConfig};
     use noftl::sim_utils::time::SimInstant;
-    use noftl::storage_engine::backend::NoFtlBackend;
+    use noftl::storage_engine::backend::{Knobs, NoFtlBackend};
     use noftl::storage_engine::{EngineConfig, EngineOps, FlusherConfig, StorageEngine};
     use noftl::workloads::{Arrivals, OpenLoopConfig, OpenLoopDriver};
 
@@ -1100,24 +864,31 @@ mod slo_off_identity {
         percentiles: (u64, u64, u64),
     }
 
-    /// Build everything from the env-derived defaults *inside* the env
-    /// closure, so `EngineConfig::new()` and `NoFtlBackend::new()` read the
-    /// leg's `NOFTL_SLO` value.
-    fn open_loop_image() -> SloImage {
+    /// Run the open-loop workload on an engine built by the plain
+    /// constructors (`None`) or with `knobs` applied.
+    fn open_loop_image(knobs: Option<&Knobs>) -> SloImage {
         let geometry = FlashGeometry::with_dies(4, 256, 32, 4096);
         let ncfg = NoFtlConfig::new(geometry);
         let mut dev_cfg = DeviceConfig::new(geometry);
         dev_cfg.store_data = ncfg.store_data;
         dev_cfg.trace_capacity = 1 << 16;
         let noftl = NoFtl::with_device(NandDevice::new(dev_cfg), ncfg);
-        let backend = NoFtlBackend::new(noftl);
-        let mut ecfg = EngineConfig::new();
-        ecfg.buffer_frames = 96;
-        ecfg.log_pages = 64;
-        let mut flushers = FlusherConfig::die_wise(2);
-        flushers.async_depth = 1;
-        ecfg.flushers = flushers;
-        let mut engine = StorageEngine::new(Box::new(backend), ecfg);
+        let config = |mut ecfg: EngineConfig, flushers: FlusherConfig| {
+            ecfg.buffer_frames = 96;
+            ecfg.log_pages = 64;
+            ecfg.flushers = flushers;
+            ecfg
+        };
+        let mut engine = match knobs {
+            None => StorageEngine::new(
+                Box::new(NoFtlBackend::new(noftl)),
+                config(EngineConfig::new(), FlusherConfig::die_wise(2)),
+            ),
+            Some(k) => k.engine(
+                Box::new(k.noftl_backend(noftl)),
+                config(k.engine_config(), k.flushers(FlusherConfig::die_wise(2))),
+            ),
+        };
 
         let mut olcfg = OpenLoopConfig::new(120, Arrivals::Fixed { interval_ns: 5_000 });
         olcfg.rows = 200;
@@ -1151,9 +922,8 @@ mod slo_off_identity {
 
     #[test]
     fn open_loop_run_identical_with_slo_unset_vs_off() {
-        let _guard = ENV_LOCK.lock().unwrap();
-        let unset = with_slo_env(None, open_loop_image);
-        let off = with_slo_env(Some("off"), open_loop_image);
+        let unset = open_loop_image(None);
+        let off = open_loop_image(Some(&Knobs::from_vars([("NOFTL_SLO", "off")])));
         assert!(!unset.trace.is_empty());
         assert_eq!(unset.shed, 0, "no admission window without the knob");
         assert_eq!(
@@ -1166,14 +936,140 @@ mod slo_off_identity {
     #[test]
     fn slo_on_leg_runs_the_same_workload_with_truthful_stats() {
         // Not an identity leg — `on` may change timing (that is the point) —
-        // but the env-derived on leg must stay consistent: every begin is
+        // but the knob-built on leg must stay consistent: every begin is
         // either admitted or shed, and the engine's counters say which.
-        let _guard = ENV_LOCK.lock().unwrap();
-        let on = with_slo_env(Some("on"), open_loop_image);
+        let on = open_loop_image(Some(&Knobs::from_vars([("NOFTL_SLO", "on")])));
         assert_eq!(
             on.observed.0 + on.observed.2,
             132,
             "every offered request (warmup included) is admitted or shed"
         );
     }
+}
+
+/// Figure 3 and Figure 4 (TPC-B at 1/2/4/8 dies) as the `fig3_gc_overhead`
+/// and `fig4_dbwriters` bins print them, rendered with explicit knobs.  The
+/// legs below parse each spelling from literal `(name, value)` pairs, so
+/// they pin both the parser and the figure code without touching the
+/// process environment.
+mod figures {
+    use std::sync::OnceLock;
+
+    use noftl::storage_engine::backend::Knobs;
+    use noftl_bench::dbwriters::{render_table as render_fig4, run_dbwriter_scaling};
+    use noftl_bench::gc_overhead::{render_table as render_fig3, run_gc_overhead};
+    use noftl_bench::setup::{Benchmark, Scale};
+
+    pub fn fig3(knobs: &Knobs) -> String {
+        render_fig3(&run_gc_overhead(Scale::Quick, knobs))
+    }
+
+    pub fn fig4(knobs: &Knobs) -> String {
+        render_fig4(&run_dbwriter_scaling(Benchmark::TpcB, Scale::Quick, &[1, 2, 4, 8], knobs))
+    }
+
+    /// Figure 3 with every knob unset, rendered once and shared by the
+    /// `*_unset_vs_*` legs.
+    pub fn fig3_unset() -> &'static str {
+        static TABLE: OnceLock<String> = OnceLock::new();
+        TABLE.get_or_init(|| fig3(&Knobs::default()))
+    }
+
+    /// Figure 4 with every knob unset, rendered once.
+    pub fn fig4_unset() -> &'static str {
+        static TABLE: OnceLock<String> = OnceLock::new();
+        TABLE.get_or_init(|| fig4(&Knobs::default()))
+    }
+}
+
+#[test]
+fn fig3_output_identical_with_batching_off_vs_batch_size_one() {
+    let off = figures::fig3(&Knobs::from_vars([("NOFTL_BATCH", "off")]));
+    let one = figures::fig3(&Knobs::from_vars([("NOFTL_BATCH", "1")]));
+    assert!(off.contains("TPC-C") && off.contains("TPC-B") && off.contains("TPC-E"));
+    assert_eq!(
+        off, one,
+        "Figure 3 output must be bit-identical with batching off vs batch size 1"
+    );
+}
+
+#[test]
+fn fig4_output_identical_with_batching_off_vs_batch_size_one() {
+    let off = figures::fig4(&Knobs::from_vars([("NOFTL_BATCH", "off")]));
+    let one = figures::fig4(&Knobs::from_vars([("NOFTL_BATCH", "1")]));
+    assert!(off.contains("TPC-B"));
+    assert_eq!(
+        off, one,
+        "Figure 4 output must be bit-identical with batching off vs batch size 1"
+    );
+}
+
+#[test]
+fn fig3_output_identical_with_async_off_vs_depth_one() {
+    let one = figures::fig3(&Knobs::from_vars([("NOFTL_ASYNC", "1")]));
+    assert_eq!(
+        figures::fig3_unset(),
+        one,
+        "Figure 3 output must be bit-identical with NOFTL_ASYNC unset vs depth 1"
+    );
+}
+
+#[test]
+fn fig4_output_identical_with_async_off_vs_depth_one() {
+    let one = figures::fig4(&Knobs::from_vars([("NOFTL_ASYNC", "1")]));
+    assert_eq!(
+        figures::fig4_unset(),
+        one,
+        "Figure 4 output must be bit-identical with NOFTL_ASYNC unset vs depth 1"
+    );
+}
+
+#[test]
+fn fig3_output_identical_with_faults_unset_vs_off() {
+    // The fault-injection plumbing must be a strict no-op when disabled:
+    // `NOFTL_FAULTS=off` has to produce the same figures as a build that never
+    // heard of the knob.
+    let off = figures::fig3(&Knobs::from_vars([("NOFTL_FAULTS", "off")]));
+    assert_eq!(
+        figures::fig3_unset(),
+        off,
+        "Figure 3 output must be bit-identical with NOFTL_FAULTS unset vs off"
+    );
+}
+
+#[test]
+fn fig3_output_identical_with_slo_unset_vs_off() {
+    // The SLO plumbing (admission control, throttled waves, proactive GC)
+    // must be a strict no-op when disabled: `NOFTL_SLO=off` has to produce
+    // the same figures as a build that never heard of the knob.
+    let off = figures::fig3(&Knobs::from_vars([("NOFTL_SLO", "off")]));
+    assert_eq!(
+        figures::fig3_unset(),
+        off,
+        "Figure 3 output must be bit-identical with NOFTL_SLO unset vs off"
+    );
+}
+
+#[test]
+fn fig3_output_identical_with_redundancy_unset_vs_off() {
+    // The redundancy plumbing (parity stripes, mirror copies, degraded
+    // reads, online rebuild) must be a strict no-op when disabled:
+    // `NOFTL_REDUNDANCY=off` has to produce the same figures as a build that
+    // never heard of the knob.
+    let off = figures::fig3(&Knobs::from_vars([("NOFTL_REDUNDANCY", "off")]));
+    assert_eq!(
+        figures::fig3_unset(),
+        off,
+        "Figure 3 output must be bit-identical with NOFTL_REDUNDANCY unset vs off"
+    );
+}
+
+#[test]
+fn fig4_output_identical_with_redundancy_unset_vs_off() {
+    let off = figures::fig4(&Knobs::from_vars([("NOFTL_REDUNDANCY", "off")]));
+    assert_eq!(
+        figures::fig4_unset(),
+        off,
+        "Figure 4 output must be bit-identical with NOFTL_REDUNDANCY unset vs off"
+    );
 }

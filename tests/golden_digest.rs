@@ -1,4 +1,5 @@
-//! Golden digest of what the engine leaves on flash.
+//! Golden digests of what the engine leaves on flash and of the paper
+//! figures' tables.
 //!
 //! Tiny TPC-C and TPC-B runs on NoFTL, with every engine, flusher and NoFTL
 //! setting spelled out and fixed seeds, are reduced to one 64-bit FNV-1a
@@ -13,14 +14,22 @@
 //! The checked-in values pin the on-page byte layouts of heap pages and
 //! B+-tree nodes, the WAL record codec, and the exact sequence of
 //! buffer-pool accesses (hits drive clock reference bits and so eviction and
-//! flush traffic).  A change that moves any of them fails here.  If the move
-//! is intended, replace the constant with the value the failure prints and
-//! say why in the change log.
+//! flush traffic).  The same runs with batch size 0 and 1 — for die-wise
+//! writers, batching global writers and the WAL — must hash alike.
+//!
+//! The Quick-scale table text of Figure 3, Figure 4 (TPC-C and TPC-B die
+//! sweeps plus the queue-depth x host-link sweep) and the headline
+//! throughput comparison, built with every `NOFTL_*` knob unset, is hashed
+//! the same way.
+//!
+//! A change that moves any of them fails here.  If the move is intended,
+//! replace the constant with the value the failure prints and say why in
+//! the change log.
 
 use noftl::nand_flash::FlashGeometry;
 use noftl::noftl_core::{FlusherAssignment, NoFtl, NoFtlConfig};
 use noftl::sim_utils::time::SimInstant;
-use noftl::storage_engine::backend::{BackendCounters, NoFtlBackend, StorageBackend};
+use noftl::storage_engine::backend::{BackendCounters, Knobs, NoFtlBackend, StorageBackend};
 use noftl::storage_engine::buffer::BufferStats;
 use noftl::storage_engine::{
     ConcurrentEngine, EngineConfig, EngineOps, FlusherConfig, StorageEngine,
@@ -28,10 +37,28 @@ use noftl::storage_engine::{
 use noftl::workloads::tpcb::{TpcB, TpcBConfig};
 use noftl::workloads::tpcc::{TpcC, TpcCConfig};
 use noftl::workloads::workload::Workload;
+use noftl_bench::dbwriters::{
+    render_depth_link_table, render_table as render_fig4, run_dbwriter_scaling,
+    run_depth_link_sweep,
+};
+use noftl_bench::gc_overhead::{render_table as render_fig3, run_gc_overhead};
+use noftl_bench::setup::{Benchmark, Scale};
+use noftl_bench::throughput::{render_table as render_headline, run_headline};
 
 const TPCC_DIGEST: u64 = 0x5082_1872_2baa_2268;
 const TPCB_DIGEST: u64 = 0x3aa8_785c_48df_fbb2;
 const TPCB_SHARDED_DIGEST: u64 = 0xe682_0a57_45c2_43b6;
+/// (TPC-C, TPC-B) with die-wise writers and the WAL at batch size 0 or 1.
+const DIE_WISE_BATCH_DIGESTS: (u64, u64) = (0x885d_26a0_27e3_ccff, 0x3f84_8adb_7549_82d9);
+/// (TPC-C, TPC-B) with batching global writers and the WAL at batch size 0
+/// or 1.
+const GLOBAL_BATCH_DIGESTS: (u64, u64) = (0xd7e9_e6f3_16b8_095b, 0xe1f9_cf64_10da_1fa1);
+/// Quick-scale table text of the figure bins.
+const FIG3_DIGEST: u64 = 0x7035_ad49_817e_5f0e;
+const FIG4_TPCC_DIGEST: u64 = 0x7494_9603_8ded_b470;
+const FIG4_TPCB_DIGEST: u64 = 0xaabe_729d_9909_0c3b;
+const FIG4_DEPTH_LINK_DIGEST: u64 = 0x0a99_9906_6f4b_a7ed;
+const HEADLINE_DIGEST: u64 = 0xc985_bf4c_6fcb_a9e4;
 
 /// Log segment length (pages) of every run.
 const LOG_PAGES: u64 = 32;
@@ -95,15 +122,23 @@ fn backend() -> NoFtlBackend {
 }
 
 fn config() -> EngineConfig {
+    config_with(FlusherAssignment::DieWise, 16, false)
+}
+
+fn config_with(
+    assignment: FlusherAssignment,
+    batch_pages: usize,
+    batch_global: bool,
+) -> EngineConfig {
     EngineConfig {
         buffer_frames: 48,
         flushers: FlusherConfig {
             writers: 8,
-            assignment: FlusherAssignment::DieWise,
+            assignment,
             dirty_high_watermark: 0.30,
             dirty_low_watermark: 0.05,
-            batch_pages: 16,
-            batch_global: false,
+            batch_pages,
+            batch_global,
             async_depth: 1,
         },
         log_pages: LOG_PAGES,
@@ -166,6 +201,16 @@ fn digest<E: Probe>(mut engine: E, workload: &mut dyn Workload<E>, txns: usize) 
     h.0
 }
 
+fn tpcc_workload() -> TpcC {
+    TpcC::new(TpcCConfig {
+        warehouses: 1,
+        districts_per_warehouse: 2,
+        customers_per_district: 120,
+        items: 600,
+        seed: 0x601D,
+    })
+}
+
 fn tpcb_workload() -> TpcB {
     TpcB::new(TpcBConfig {
         scale_factor: 2,
@@ -177,22 +222,9 @@ fn tpcb_workload() -> TpcB {
 
 #[test]
 fn tpcc_and_tpcb_on_noftl_match_the_golden_digest() {
-    // Library constructors read the `NOFTL_*` knobs; this binary runs only
-    // this test, so clearing them here makes the runs hermetic.
-    for (key, _) in std::env::vars() {
-        if key.starts_with("NOFTL_") {
-            std::env::remove_var(key);
-        }
-    }
     let tpcc = digest(
         StorageEngine::new(Box::new(backend()), config()),
-        &mut TpcC::new(TpcCConfig {
-            warehouses: 1,
-            districts_per_warehouse: 2,
-            customers_per_district: 120,
-            items: 600,
-            seed: 0x601D,
-        }),
+        &mut tpcc_workload(),
         400,
     );
     let tpcb = digest(
@@ -212,4 +244,90 @@ fn tpcc_and_tpcb_on_noftl_match_the_golden_digest() {
         "golden digest moved: (tpcc, tpcb, tpcb_sharded) = \
          ({tpcc:#018x}, {tpcb:#018x}, {tpcb_sharded:#018x})"
     );
+}
+
+/// The TPC-C and TPC-B digests with `batch_pages` for the db-writers and the
+/// WAL alike.
+fn batch_digests(assignment: FlusherAssignment, batch_pages: usize) -> (u64, u64) {
+    let knobs = Knobs {
+        batch_pages,
+        ..Knobs::default()
+    };
+    let engine = || {
+        knobs.engine(
+            Box::new(backend()),
+            config_with(assignment, batch_pages, true),
+        )
+    };
+    (
+        digest(engine(), &mut tpcc_workload(), 400),
+        digest(engine(), &mut tpcb_workload(), 600),
+    )
+}
+
+#[test]
+fn batching_off_and_batch_size_one_match_the_golden_digest() {
+    // Batch size 1 routes every write through the batch API as a one-page
+    // run; it must leave the same bytes at the same virtual times as the
+    // legacy one-page-per-call path.
+    for (assignment, expect) in [
+        (FlusherAssignment::DieWise, DIE_WISE_BATCH_DIGESTS),
+        (FlusherAssignment::Global, GLOBAL_BATCH_DIGESTS),
+    ] {
+        for batch_pages in [0, 1] {
+            let got = batch_digests(assignment, batch_pages);
+            assert_eq!(
+                got, expect,
+                "{assignment:?} writers, batch size {batch_pages}: (tpcc, tpcb) = {got:#018x?}"
+            );
+        }
+    }
+}
+
+fn text_digest(text: &str) -> u64 {
+    let mut h = Fnv::new();
+    h.bytes(text.as_bytes());
+    h.0
+}
+
+fn assert_table(name: &str, table: &str, expect: u64) {
+    let got = text_digest(table);
+    assert_eq!(
+        got, expect,
+        "{name} table moved: digest {got:#018x}\n{table}"
+    );
+}
+
+#[test]
+fn fig3_table_matches_the_golden_digest() {
+    let table = render_fig3(&run_gc_overhead(Scale::Quick, &Knobs::default()));
+    assert_table("Figure 3", &table, FIG3_DIGEST);
+}
+
+#[test]
+fn fig4_tables_match_the_golden_digest() {
+    for (benchmark, expect) in [
+        (Benchmark::TpcC, FIG4_TPCC_DIGEST),
+        (Benchmark::TpcB, FIG4_TPCB_DIGEST),
+    ] {
+        let table = render_fig4(&run_dbwriter_scaling(
+            benchmark,
+            Scale::Quick,
+            &[1, 2, 4, 8],
+            &Knobs::default(),
+        ));
+        assert_table(benchmark.name(), &table, expect);
+    }
+    let sweep = render_depth_link_table(&run_depth_link_sweep(8, &[1, 2, 4, 8]));
+    assert_table("depth x link", &sweep, FIG4_DEPTH_LINK_DIGEST);
+}
+
+#[test]
+fn headline_table_matches_the_golden_digest() {
+    let table = render_headline(&run_headline(
+        Scale::Quick,
+        &[Benchmark::TpcC, Benchmark::TpcB],
+        &Knobs::default(),
+    ));
+    assert_table("headline", &table, HEADLINE_DIGEST);
 }

@@ -1,7 +1,6 @@
 //! NoFTL configuration.
 
 use nand_flash::FlashGeometry;
-use serde::{Deserialize, Serialize};
 
 use crate::regions::StripingMode;
 
@@ -9,7 +8,7 @@ use crate::regions::StripingMode;
 /// NoFTL argument applied to redundancy.  The DBMS, knowing what each region
 /// holds, picks the protection level per region instead of paying one
 /// device-wide scheme.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum RedundancyPolicy {
     /// No redundancy (the default — and the bit/cycle-equivalence baseline):
     /// a die failure loses the region's unprotected pages.
@@ -34,7 +33,7 @@ impl RedundancyPolicy {
 }
 
 /// Configuration of the DBMS-integrated Flash management.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NoFtlConfig {
     /// Device geometry (normally obtained via IDENTIFY).
     pub geometry: FlashGeometry,

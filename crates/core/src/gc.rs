@@ -8,12 +8,11 @@
 //! copybacks and erases reported in Figure 3.
 
 use nand_flash::{BlockAddr, NandDevice, NativeFlashInterface};
-use serde::{Deserialize, Serialize};
 
 use crate::regions::{RegionId, RegionManager};
 
 /// Victim-selection policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GcPolicy {
     /// Pick the block with the most invalid pages (minimises copies now).
     Greedy,

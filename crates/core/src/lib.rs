@@ -132,9 +132,9 @@
 //! number of concurrent readers (`Send + Sync`, shareable behind an
 //! `RwLock`), while mapping updates and block allocation stay single-writer.
 //! The concurrent storage engine (`storage-engine`'s `ConcurrentEngine`)
-//! relies on exactly that split: device-state
-//! mutation is serialised behind its backend lock — last in the engine's
-//! lock order — and everything `&self` may be read concurrently.  See the
+//! serialises every operation behind its one engine mutex, so device-state
+//! mutation stays single-writer; the `&self` split is what would let
+//! readers share these tables if that lock were ever split.  See the
 //! reader-safety sections of [`mapping`] and [`regions`].
 //!
 //! ## Die-level reliability (PR 10)

@@ -29,13 +29,12 @@
 use std::collections::VecDeque;
 
 use nand_flash::{BlockAddr, DieAddr, FlashGeometry, Ppa};
-use serde::{Deserialize, Serialize};
 
 /// Identifier of a region (dense, `0..regions()`).
 pub type RegionId = usize;
 
 /// How dies are grouped into regions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StripingMode {
     /// One region per die (the layout used throughout the paper's Figure 4).
     DieWise,
@@ -46,7 +45,7 @@ pub enum StripingMode {
 }
 
 /// How db-writers (background flushers) are associated with regions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlusherAssignment {
     /// Any flusher may write to any region (the conventional scheme).
     Global,

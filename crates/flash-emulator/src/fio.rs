@@ -7,14 +7,13 @@
 //! emulated SSD with any FTL, or a NoFTL adapter).
 
 use ftl::block_device::BlockDevice;
-use serde::{Deserialize, Serialize};
 use sim_utils::dist::Zipf;
 use sim_utils::histogram::Histogram;
 use sim_utils::rng::SimRng;
 use sim_utils::time::SimInstant;
 
 /// Spatial access pattern of a FIO job.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AccessPattern {
     /// Uniformly random block addresses.
     Random,
@@ -25,7 +24,7 @@ pub enum AccessPattern {
 }
 
 /// A synthetic benchmark job description.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FioJob {
     /// Human-readable job name.
     pub name: String,
@@ -106,7 +105,7 @@ impl FioJob {
 }
 
 /// Result of running a [`FioJob`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct FioReport {
     /// Job name.
     pub job: String,

@@ -14,11 +14,10 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
 use sim_utils::time::{SimDuration, SimInstant};
 
 /// Static description of a host link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HostLink {
     /// Maximum number of outstanding commands (NCQ depth for SATA2 = 32).
     pub max_outstanding: u32,

@@ -12,7 +12,6 @@ use nand_flash::{
     BlockAddr, DeviceConfig, FlashError, FlashGeometry, FlashResult, FlashStats, NandDevice,
     NativeFlashInterface, Oob, OpCompletion, PageKind, PageState, Ppa,
 };
-use serde::{Deserialize, Serialize};
 use sim_utils::flatmap::FlatMap;
 use sim_utils::time::SimInstant;
 
@@ -22,7 +21,7 @@ use crate::stats::FtlStats;
 use crate::traits::Ftl;
 
 /// Configuration of DFTL.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DftlConfig {
     /// Device geometry.
     pub geometry: FlashGeometry,

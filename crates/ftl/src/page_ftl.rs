@@ -11,7 +11,6 @@ use nand_flash::{
     BlockAddr, DeviceConfig, FlashError, FlashGeometry, FlashResult, FlashStats, NandDevice,
     NativeFlashInterface, Oob, OpCompletion, PageState, Ppa,
 };
-use serde::{Deserialize, Serialize};
 use sim_utils::time::SimInstant;
 
 use crate::alloc::BlockPools;
@@ -20,7 +19,7 @@ use crate::stats::FtlStats;
 use crate::traits::Ftl;
 
 /// Configuration of the page-mapping FTL.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct PageFtlConfig {
     /// Device geometry.
     pub geometry: FlashGeometry,

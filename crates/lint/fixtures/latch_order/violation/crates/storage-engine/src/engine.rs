@@ -1,4 +1,4 @@
-//! Seeded-violation fixture: two deadlock shapes the pass must catch.
+//! Seeded-violation fixture: three deadlock shapes the pass must catch.
 //!
 //! 1. A *direct* inversion: `forward` locks a then b, `backward` locks b
 //!    then a — a 2-cycle in the acquisition-order graph.
@@ -60,5 +60,29 @@ impl Shared {
         let again = self.a.lock();
         a.step();
         again.step();
+    }
+}
+
+/// 4. An inversion through a lock behind a shared handle: `Handle.engine`
+///    is an `Arc<Mutex<_>>`, and the two methods below take it and
+///    `Shared.a` in opposite orders.
+struct Handle {
+    engine: Arc<Mutex<Engine>>,
+    shared: Shared,
+}
+
+impl Handle {
+    fn engine_then_a(&self) {
+        let e = self.engine.lock();
+        let a = self.shared.a.lock();
+        e.step();
+        a.step();
+    }
+
+    fn a_then_engine(&self) {
+        let a = self.shared.a.lock();
+        let e = self.engine.lock();
+        a.step();
+        e.step();
     }
 }

@@ -1,13 +1,15 @@
 //! `latch-order`: inter-procedural lock-acquisition-order analysis.
 //!
-//! The concurrent engine documents its lock order as the field order of its
-//! `Shared` struct (`concurrent.rs`): `catalog → txns → fsm → wal → flushers
-//! → backend → shard 0 → shard 1 → …`.  This pass rebuilds that discipline
-//! from the code instead of trusting the comment:
+//! The concurrent engine (`concurrent.rs`) documents one lock: the mutex
+//! around its `StorageEngine`, taken once per operation and never nested.
+//! This pass rebuilds the lock discipline of the whole `storage-engine`
+//! crate from the code instead of trusting the comment, so a lock added
+//! later is ordered against it:
 //!
 //! 1. **Lock fields** — every `Mutex<_>` / `RwLock<_>` struct field in the
-//!    `storage-engine` crate (including `Vec<Mutex<_>>` collections) becomes
-//!    a graph node keyed `Struct.field`.
+//!    `storage-engine` crate (including `Vec<Mutex<_>>` collections, and
+//!    locks behind a shared handle such as `Arc<Mutex<_>>` or
+//!    `Box<RwLock<_>>`) becomes a graph node keyed `Struct.field`.
 //! 2. **Acquisition sites** — `.lock()` / `.read()` / `.write()` calls whose
 //!    receiver resolves (through `self`, struct-field chains like
 //!    `self.shared.backend`, typed locals, and loop/closure variables over
@@ -19,17 +21,17 @@
 //!    `flushers → wal` edge.
 //! 4. **Inter-procedural effects** — each function's transitive may-acquire
 //!    set is computed to a fixpoint over the call graph (receiver-typed
-//!    resolution: `self.pool.with_owner(..)` resolves to
-//!    `ShardedBufferPool::with_owner`, which acquires `shards`).  Calling a
+//!    resolution: `self.pool.with_owner(..)` resolves to the method of the
+//!    field's type, and that method's own acquisitions).  Calling a
 //!    function while holding a lock adds `held → callee-acquires` edges.
 //! 5. **Cycles** — any cycle in the resulting acquisition-order graph is a
 //!    potential deadlock and fails the build.  Re-acquiring a still-held
 //!    scalar lock in the same function is reported directly.
 //!
 //! Collection locks (`Vec<Mutex<_>>`) are exempt from self-edges: acquiring
-//! shard *i* then shard *j* is the documented ascending-index order, which an
-//! index-insensitive analysis cannot distinguish — ascending iteration is
-//! enforced by the `for … in &self.shards` idiom instead.
+//! element *i* then element *j* in ascending index order is safe, but an
+//! index-insensitive analysis cannot distinguish it — ascending iteration
+//! is left to the `for … in &self.shards` idiom instead.
 //!
 //! Known approximation: a closure passed to a lock-taking combinator (e.g.
 //! `with_shard(i, |p| …)`) is analysed as code of the *enclosing* function,
@@ -524,17 +526,25 @@ fn collect_structs(ft: &FileText, out: &mut BTreeMap<String, BTreeMap<String, Fi
                 continue;
             }
             let ty = ty_part.trim();
-            let kind = if let Some(inner) = ty
+            // A shared handle onto a lock (`Arc<Mutex<_>>`) is that lock.
+            let mut lock_ty = ty;
+            while let Some(inner) = ["Arc<", "Box<"]
+                .iter()
+                .find_map(|w| lock_ty.strip_prefix(w))
+            {
+                lock_ty = inner.trim_start();
+            }
+            let kind = if let Some(inner) = lock_ty
                 .strip_prefix("Mutex<")
-                .or_else(|| ty.strip_prefix("RwLock<"))
+                .or_else(|| lock_ty.strip_prefix("RwLock<"))
             {
                 FieldKind::Lock {
                     collection: false,
                     inner: normalize_type(inner.trim_end_matches('>')),
                 }
-            } else if let Some(inner) = ty
+            } else if let Some(inner) = lock_ty
                 .strip_prefix("Vec<Mutex<")
-                .or_else(|| ty.strip_prefix("Vec<RwLock<"))
+                .or_else(|| lock_ty.strip_prefix("Vec<RwLock<"))
             {
                 FieldKind::Lock {
                     collection: true,

@@ -31,22 +31,19 @@ fn latch_pass_covers_the_concurrent_engine() {
     let report = noftl_lint::run(&workspace_root(), None);
     let latch = &report.latch;
 
-    // All eight engine locks are discovered: the sharded pool (a lock
-    // collection) plus the seven Shared fields — six in the documented
-    // acquisition order plus the admission leaf (PR 9), which is only ever
-    // acquired alone.
-    assert_eq!(latch.locks.get("ShardedBufferPool.shards"), Some(&true));
-    for field in ["admission", "backend", "catalog", "flushers", "fsm", "txns", "wal"] {
-        assert_eq!(
-            latch.locks.get(&format!("Shared.{field}")),
-            Some(&false),
-            "missing lock Shared.{field}; locks = {:?}",
-            latch.locks
-        );
-    }
-    assert_eq!(latch.locks.len(), 8, "locks = {:?}", latch.locks);
+    // The engine has one lock: the mutex around the shared StorageEngine,
+    // which the engine handle and every client session hold through an
+    // `Arc<Mutex<_>>` field.  Nothing else in the crate is a lock.
+    let locks: Vec<(&str, bool)> = latch.locks.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+    assert_eq!(
+        locks,
+        vec![("ClientSession.engine", false), ("ConcurrentEngine.engine", false)],
+        "locks = {:?}",
+        latch.locks
+    );
 
-    // Acquisition sites in the two files that own the engine's locking.
+    // Every acquisition site is in the file that owns the handles: 16
+    // accessors plus the two `EngineOps` impls, one lock per operation.
     let sites_in = |file: &str| {
         latch
             .sites
@@ -54,26 +51,26 @@ fn latch_pass_covers_the_concurrent_engine() {
             .filter(|s| s.file == format!("crates/storage-engine/src/{file}"))
             .count()
     };
-    assert!(sites_in("concurrent.rs") >= 50, "sites: {}", sites_in("concurrent.rs"));
-    assert!(sites_in("shard.rs") >= 10, "sites: {}", sites_in("shard.rs"));
+    assert_eq!(sites_in("concurrent.rs"), 58, "sites: {:?}", latch.sites);
+    assert_eq!(latch.sites.len(), sites_in("concurrent.rs"));
 
-    // Spot-check edges that pin down the documented order: catalog and
-    // txns precede wal, and everything may reach the pool shards last.
-    let has_edge = |from: &str, to: &str| latch.edges.iter().any(|e| e.from == from && e.to == to);
-    assert!(has_edge("Shared.txns", "Shared.wal"));
-    assert!(has_edge("Shared.catalog", "Shared.wal"));
-    assert!(has_edge("Shared.backend", "ShardedBufferPool.shards"));
-    assert!(has_edge("Shared.wal", "ShardedBufferPool.shards"));
+    // Each handle's operations reach its lock.
+    for (owner, lock) in [
+        ("ClientSession", "ClientSession.engine"),
+        ("ConcurrentEngine", "ConcurrentEngine.engine"),
+    ] {
+        for op in ["begin", "commit", "insert", "scan", "maybe_flush", "checkpoint", "quiesce"] {
+            let acquires = latch
+                .fn_acquires
+                .get(&format!("{owner}::{op}"))
+                .unwrap_or_else(|| panic!("fn_acquires should cover {owner}::{op}"));
+            assert!(acquires.contains(lock), "{owner}::{op} acquires {acquires:?}");
+        }
+    }
 
-    // Inter-procedural propagation: a pool view's page accessors reach the
-    // shard latches through with_owner -> with_shard.
-    let with_page = latch
-        .fn_acquires
-        .get("ShardedPoolView::with_page")
-        .expect("fn_acquires should cover ShardedPoolView::with_page");
-    assert!(with_page.contains("ShardedBufferPool.shards"));
-
-    // And the documented order is in fact acyclic.
+    // Lock, forward, unlock: no lock is held while another is taken, so
+    // the order graph has no edges and cannot have a cycle.
+    assert!(latch.edges.is_empty(), "edges: {:?}", latch.edges);
     assert!(latch.cycles.is_empty(), "cycles: {:?}", latch.cycles);
 }
 

@@ -1,13 +1,12 @@
 //! Erase blocks: the unit of erasure, wear and GC victim selection.
 
-use serde::{Deserialize, Serialize};
 use sim_utils::time::SimInstant;
 
 use crate::oob::Oob;
 use crate::page::{Page, PageState};
 
 /// Health of an erase block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BlockHealth {
     /// Fully usable.
     Good,

@@ -47,7 +47,6 @@
 //! environment, so a device's fault behaviour is a pure function of its
 //! [`crate::DeviceConfig`].
 
-use serde::{Deserialize, Serialize};
 use sim_utils::rng::SimRng;
 use sim_utils::time::SimInstant;
 
@@ -67,7 +66,7 @@ pub enum ReadFaultOutcome {
 }
 
 /// What a [`KillSpec`] takes down: one die or a whole channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KillTarget {
     /// One die, addressed by its flat index
     /// (`channel * dies_per_channel + die`, see
@@ -82,7 +81,7 @@ pub enum KillTarget {
 /// programs, erases, copybacks — queued or synchronous).  The count is a
 /// property of the command *sequence*, not of the virtual clock, so the same
 /// workload always dies at the same operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct KillSpec {
     /// Array-command index at which the failure fires (the command with this
     /// index is the first one affected).
@@ -97,7 +96,7 @@ pub struct KillSpec {
 /// same seed against the same command sequence reproduces the same faults.
 /// Fields are public so tests can dial individual failure modes up or down;
 /// [`FaultPlan::seeded`] gives the default mix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Seed this plan was built from (for diagnostics / reproduction).
     pub seed: u64,

@@ -7,7 +7,6 @@
 //! command that exposes the device architecture (channels, LUNs, NAND type),
 //! and multi-page variants that map to ONFI cache/sequential commands.
 
-use serde::{Deserialize, Serialize};
 use sim_utils::time::SimInstant;
 
 use crate::addr::{BlockAddr, Ppa};
@@ -17,7 +16,7 @@ use crate::oob::Oob;
 use crate::stats::FlashStats;
 
 /// Kinds of native Flash commands (used for tracing and statistics).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// PAGE READ with data transfer to the host.
     Read,
@@ -32,7 +31,7 @@ pub enum OpKind {
 }
 
 /// Timing result of a native Flash command on the virtual clock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpCompletion {
     /// When the command actually started executing (≥ issue time; later if
     /// the target die or channel was busy).
@@ -56,7 +55,7 @@ impl OpCompletion {
 /// Response of the `IDENTIFY` command: everything a DBMS needs to know about
 /// the device architecture to do its own data placement (paper §3: "similar
 /// to HDIO_GETGEO for HDDs").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceIdentification {
     /// Device model string.
     pub model: String,

@@ -4,11 +4,10 @@
 //! (§3.3); the cell type determines array operation latencies and the
 //! program/erase endurance that the wear-leveling experiments build on.
 
-use serde::{Deserialize, Serialize};
 use sim_utils::time::{micros, millis, SimDuration};
 
 /// NAND Flash cell technology.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NandType {
     /// Single-level cell: fastest, most durable (≈100 k P/E cycles).
     Slc,
@@ -68,7 +67,7 @@ impl NandType {
 }
 
 /// Latency parameters of the NAND array and the channel bus.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimingProfile {
     /// Array read time (tR): cell array → page register.
     pub read_page: SimDuration,

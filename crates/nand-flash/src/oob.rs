@@ -5,11 +5,9 @@
 //! that the Flash-management layer (FTL or NoFTL) uses to rebuild its mapping
 //! after a restart and to decide which pages are live during GC.
 
-use serde::{Deserialize, Serialize};
-
 /// What kind of content a physical page holds — the host-defined tag stored
 /// in the spare area.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[derive(Default)]
 pub enum PageKind {
     /// Regular user data page (a database page).
@@ -25,7 +23,7 @@ pub enum PageKind {
 
 
 /// Out-of-band metadata record programmed together with a page.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Oob {
     /// Logical page number this physical page stores (u64::MAX = none).
     pub lpn: u64,

@@ -1,11 +1,9 @@
 //! Physical page state.
 
-use serde::{Deserialize, Serialize};
-
 use crate::oob::Oob;
 
 /// Lifecycle state of a physical page, as seen by Flash-management layers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PageState {
     /// Erased and never programmed since the last block erase.
     Free,

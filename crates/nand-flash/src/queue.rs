@@ -26,7 +26,6 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
 use sim_utils::time::SimInstant;
 
 use crate::addr::{BlockAddr, DieAddr, Ppa};
@@ -34,7 +33,7 @@ use crate::error::{FlashError, FlashResult};
 use crate::interface::{OpCompletion, OpKind};
 
 /// Identifier of a submitted command (unique per device, monotone).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CommandId(pub u64);
 
 /// Per-command completion status.
@@ -44,7 +43,7 @@ pub struct CommandId(pub u64);
 /// occupies its die-queue slot for its full duration and reports the failure
 /// here — a poll-driven issuer learns about the error from the completion
 /// stream exactly like a real driver reading a status register.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommandStatus {
     /// The command completed successfully.
     Ok,
@@ -80,7 +79,7 @@ impl CommandStatus {
 }
 
 /// Completion record of a queued command.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QueuedCompletion {
     /// Identifier returned at submit time.
     pub id: CommandId,

@@ -6,14 +6,13 @@
 //! commands a device executes so experiments can audit exactly what an FTL
 //! did, and so traces can be replayed deterministically.
 
-use serde::{Deserialize, Serialize};
 use sim_utils::time::SimInstant;
 
 use crate::addr::{BlockAddr, Ppa};
 use crate::interface::OpKind;
 
 /// One traced native Flash command.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEntry {
     /// Kind of command.
     pub kind: OpKind,

@@ -1,9 +1,7 @@
 //! Running statistics and human-readable formatting helpers.
 
-use serde::{Deserialize, Serialize};
-
 /// Online mean / min / max / variance accumulator (Welford's algorithm).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Running {
     count: u64,
     mean: f64,

@@ -427,7 +427,7 @@ pub struct BackendCounters {
 }
 
 /// The storage manager's view of a storage device.
-pub trait StorageBackend {
+pub trait StorageBackend: Send {
     /// Stack name ("noftl", "ftl-faster", "ftl-dftl", "mem", ...).
     fn name(&self) -> String;
 
@@ -808,7 +808,7 @@ impl<D: BlockDevice> BlockDeviceBackend<D> {
     }
 }
 
-impl<D: BlockDevice> StorageBackend for BlockDeviceBackend<D> {
+impl<D: BlockDevice + Send> StorageBackend for BlockDeviceBackend<D> {
     fn name(&self) -> String {
         self.name.clone()
     }

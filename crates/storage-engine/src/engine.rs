@@ -5,6 +5,10 @@
 //! operation takes and returns virtual time so a driver can interleave many
 //! logical clients deterministically and measure transactional throughput on
 //! the virtual clock — the TPS numbers of the paper's Figures.
+//!
+//! It is the only engine: [`crate::concurrent::ConcurrentEngine`] puts one
+//! `StorageEngine` with a page-id-sharded buffer pool behind a mutex and
+//! hands its clients sessions onto it.
 
 use nand_flash::{FlashError, FlashResult};
 use sim_utils::time::SimInstant;
@@ -13,14 +17,15 @@ use crate::backend::{
     BackendCounters, StorageBackend, DEFAULT_READAHEAD_WINDOW, DEFAULT_SLO_FLUSH_OCCUPANCY,
 };
 use crate::btree::BTree;
-use crate::buffer::{BufferPool, BufferStats, ReadaheadStats};
+use crate::buffer::{BufferStats, PageCache, ReadaheadStats};
 use crate::catalog::Catalog;
-use crate::flusher::{FlusherConfig, FlusherPool, FlusherStats};
+use crate::flusher::{FlusherConfig, FlusherPool, FlusherStats, ThrottleStats};
 use crate::free_space::FreeSpaceManager;
 use crate::heap::Rid;
 use crate::heap::HeapFile;
 use crate::page::{PageId, SlottedPage};
 use crate::readahead::ScanPrefetcher;
+use crate::shard::ShardedBufferPool;
 use crate::transaction::{
     AdmissionConfig, AdmissionControl, AdmissionStats, TransactionManager, TxnId,
 };
@@ -171,11 +176,15 @@ impl Default for EngineConfig {
 /// The storage engine.
 pub struct StorageEngine {
     backend: Box<dyn StorageBackend>,
-    pool: BufferPool,
+    /// The buffer pool, sharded by page id (one shard unless the engine
+    /// serves several clients).
+    pool: ShardedBufferPool,
     fsm: FreeSpaceManager,
     wal: WalManager,
     txns: TransactionManager,
-    flushers: FlusherPool,
+    /// One db-writer pool per buffer-pool shard: each shard's dirty pages
+    /// are flushed by its own writers.
+    flushers: Vec<FlusherPool>,
     catalog: Catalog,
     readahead_window: usize,
     /// Data pages reconstructed from WAL replay after an uncorrectable read.
@@ -189,6 +198,25 @@ pub struct StorageEngine {
 impl StorageEngine {
     /// Create an engine over `backend`.
     pub fn new(backend: Box<dyn StorageBackend>, config: EngineConfig) -> Self {
+        Self::with_shards(backend, config, 1)
+    }
+
+    /// Create an engine whose buffer pool is split into `shards` shards by
+    /// page id, each with its own db-writer pool.  One shard is the plain
+    /// engine.
+    pub(crate) fn with_shards(
+        mut backend: Box<dyn StorageBackend>,
+        config: EngineConfig,
+        shards: usize,
+    ) -> Self {
+        // Several clients' virtual clocks drift apart, so their commands
+        // reach the device out of timestamp order.  Gap-backfilling
+        // occupancy keeps the device from charging queue-wait on resources
+        // that were provably idle at a laggard's submission instant.  A
+        // single shard keeps the pinned ratchet.
+        if shards > 1 {
+            backend.set_backfill_occupancy(true);
+        }
         let page_size = backend.page_size();
         let total_pages = backend.num_pages();
         assert!(
@@ -202,13 +230,18 @@ impl StorageEngine {
         // model as the db-writers (both at the flusher config's depth), so
         // point reads overlap in-flight flush and WAL traffic on the device's
         // per-die queues.
-        let mut pool = BufferPool::new(config.buffer_frames, page_size);
+        let mut pool = ShardedBufferPool::new(shards, config.buffer_frames, page_size);
         pool.set_async_depth(config.flushers.async_depth);
         pool.set_hit_cost_ns(config.buffer_hit_ns);
-        let mut flushers = FlusherPool::new(config.flushers);
-        if config.slo_scheduling {
-            flushers.set_throttle_occupancy(DEFAULT_SLO_FLUSH_OCCUPANCY);
-        }
+        let flushers = (0..pool.shard_count())
+            .map(|_| {
+                let mut f = FlusherPool::new(config.flushers);
+                if config.slo_scheduling {
+                    f.set_throttle_occupancy(DEFAULT_SLO_FLUSH_OCCUPANCY);
+                }
+                f
+            })
+            .collect();
         Self {
             pool,
             fsm: FreeSpaceManager::new(0, data_pages),
@@ -250,20 +283,69 @@ impl StorageEngine {
         self.backend.regions()
     }
 
-    /// Buffer pool statistics.
+    /// Buffer pool statistics (summed over shards).
     pub fn buffer_stats(&self) -> BufferStats {
         self.pool.stats()
     }
 
     /// Readahead statistics of the buffer pool (prefetch issued / useful /
-    /// wasted, window high-water mark).
+    /// wasted summed over shards, window high-water mark).
     pub fn readahead_stats(&self) -> ReadaheadStats {
         self.pool.readahead_stats()
     }
 
-    /// Flusher statistics.
+    /// Number of buffer-pool shards.
+    pub fn shard_count(&self) -> usize {
+        self.pool.shard_count()
+    }
+
+    /// Per-shard buffer statistics, in shard-index order; they sum to
+    /// [`Self::buffer_stats`] exactly.
+    pub fn shard_buffer_stats(&self) -> Vec<BufferStats> {
+        self.pool.shards().iter().map(|s| s.stats()).collect()
+    }
+
+    /// Per-shard `(resident, dirty)` frame counts, in shard-index order.
+    pub fn shard_occupancy(&self) -> Vec<(usize, usize)> {
+        self.pool
+            .shards()
+            .iter()
+            .map(|s| (s.resident(), s.dirty_count()))
+            .collect()
+    }
+
+    /// Total resident pages across shards.
+    pub fn resident(&self) -> usize {
+        self.pool.resident()
+    }
+
+    /// Total dirty pages across shards.
+    pub fn dirty_count(&self) -> usize {
+        self.pool.dirty_count()
+    }
+
+    /// Db-writer statistics, summed over the per-shard pools.
     pub fn flusher_stats(&self) -> FlusherStats {
-        self.flushers.stats()
+        let mut total = FlusherStats::default();
+        for s in self.flushers.iter().map(FlusherPool::stats) {
+            total.cycles += s.cycles;
+            total.pages_flushed += s.pages_flushed;
+            total.batch_submissions += s.batch_submissions;
+            total.total_cycle_time += s.total_cycle_time;
+            total.max_cycle_time = total.max_cycle_time.max(s.max_cycle_time);
+        }
+        total
+    }
+
+    /// Flusher-throttle statistics, summed over the per-shard pools (all
+    /// zero unless SLO scheduling is on).
+    pub fn throttle_stats(&self) -> ThrottleStats {
+        let mut total = ThrottleStats::default();
+        for s in self.flushers.iter().map(FlusherPool::throttle_stats) {
+            total.throttled_waves += s.throttled_waves;
+            total.clear_waves += s.clear_waves;
+        }
+        total
     }
 
     /// Backend I/O counters.
@@ -279,6 +361,12 @@ impl StorageEngine {
     /// Mutably borrow the backend.
     pub fn backend_mut(&mut self) -> &mut dyn StorageBackend {
         self.backend.as_mut()
+    }
+
+    /// Tear the engine down and hand back the backend (crash-recovery legs
+    /// re-run WAL recovery against the medium).
+    pub fn into_backend(self) -> Box<dyn StorageBackend> {
+        self.backend
     }
 
     /// Number of committed transactions.
@@ -327,10 +415,11 @@ impl StorageEngine {
             }
             let mut clear = self.wal.inflight_horizon(t);
             if dirty >= cfg.dirty_high_watermark {
-                let flushed = self
-                    .flushers
-                    .run_cycle(&mut self.pool, self.backend.as_mut(), t)?;
-                clear = clear.max(flushed);
+                // One flusher cycle on every shard, unconditionally: the
+                // admission watermark may sit below the flushers' trigger.
+                for (flusher, shard) in self.flushers.iter_mut().zip(self.pool.shards_mut()) {
+                    clear = clear.max(flusher.run_cycle(shard, self.backend.as_mut(), t)?);
+                }
             }
             if clear <= t {
                 break;
@@ -731,8 +820,9 @@ impl StorageEngine {
 
     // -- background work ----------------------------------------------------
 
-    /// Let the db-writers run if the dirty-page watermark is exceeded.
-    /// Returns the time after the flush cycle (or `now` if nothing ran).
+    /// Let each shard's db-writers run if its dirty-page watermark is
+    /// exceeded.  Returns the time after the latest flush cycle (or `now` if
+    /// nothing ran).
     ///
     /// Under `NOFTL_SLO` scheduling this wave additionally defers to a busy
     /// device queue ([`FlusherPool::throttled_wave`]) and, after the flush
@@ -746,16 +836,14 @@ impl StorageEngine {
     /// scheduling off none of the hooks run — the path is identical to the
     /// pre-SLO engine.
     pub fn maybe_flush(&mut self, now: SimInstant) -> FlashResult<SimInstant> {
-        let t = if self.flushers.should_flush(&self.pool)
-            && !self
-                .flushers
-                .throttled_wave(&self.pool, self.backend.as_ref(), now)
-        {
-            self.flushers
-                .run_cycle(&mut self.pool, self.backend.as_mut(), now)?
-        } else {
-            now
-        };
+        let mut t = now;
+        for (flusher, shard) in self.flushers.iter_mut().zip(self.pool.shards_mut()) {
+            if flusher.should_flush(shard)
+                && !flusher.throttled_wave(shard, self.backend.as_ref(), now)
+            {
+                t = t.max(flusher.run_cycle(shard, self.backend.as_mut(), now)?);
+            }
+        }
         if self.slo_scheduling {
             self.backend.schedule_background_gc(t)?;
             self.backend.schedule_rebuild(t)?;
@@ -763,12 +851,15 @@ impl StorageEngine {
         Ok(t)
     }
 
-    /// Barrier over all asynchronous submissions — db-writer windows, the
-    /// buffer pool's miss-fill reads, the WAL window and the backend's device
+    /// Barrier over all asynchronous submissions — every shard's db-writer
+    /// windows and miss-fill reads, the WAL window and the backend's device
     /// queues: the instant by which everything in flight has completed (at
     /// least `now`).  A no-op under the synchronous model.
     pub fn quiesce(&mut self, now: SimInstant) -> SimInstant {
-        let t = self.flushers.drain(now);
+        let t = self
+            .flushers
+            .iter_mut()
+            .fold(now, |t, f| t.max(f.drain(now)));
         let t = self.pool.drain_reads(t);
         let t = self.wal.drain(t);
         self.backend.drain(t)
@@ -784,11 +875,11 @@ impl StorageEngine {
     }
 
     /// Force a full flush of every dirty page plus a WAL force (checkpoint).
-    /// Quiesces in-flight asynchronous submissions first so the checkpoint
-    /// really covers everything submitted before it, and advances the WAL's
-    /// start-of-log pointer — everything logged before the checkpoint is now
-    /// redundant, so recovery of a wrapped log segment can start its scan
-    /// here ([`WalManager::recover_records_from`]).
+    /// Quiesces in-flight asynchronous submissions of every shard first so
+    /// the checkpoint really covers everything submitted before it, and
+    /// advances the WAL's start-of-log pointer — everything logged before
+    /// the checkpoint is now redundant, so recovery of a wrapped log segment
+    /// can start its scan here ([`WalManager::recover_records_from`]).
     pub fn checkpoint(&mut self, now: SimInstant) -> FlashResult<SimInstant> {
         let now = self.quiesce(now);
         let t = self.wal.flush(self.backend.as_mut(), now)?;

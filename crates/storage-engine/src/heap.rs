@@ -12,7 +12,6 @@
 //! [`FlashError::CorruptPage`].
 
 use nand_flash::{FlashError, FlashResult};
-use serde::{Deserialize, Serialize};
 use sim_utils::time::SimInstant;
 
 use crate::backend::StorageBackend;
@@ -24,7 +23,7 @@ use crate::transaction::TxnId;
 use crate::wal::{LogRecord, WalManager};
 
 /// Record identifier: page + slot.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Rid {
     /// Page holding the record.
     pub page: PageId,

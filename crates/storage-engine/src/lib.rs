@@ -149,40 +149,41 @@
 //! * **Buffer pool** — a frame whose fill errors out is detached before the
 //!   read, so no poisoned frame can enter the map.
 //!
-//! ## Concurrency model (PR 7)
+//! ## Concurrency model
 //!
-//! [`concurrent::ConcurrentEngine`] is a concurrent embedding of the
-//! engine; with one shard and one client it is bit- and cycle-identical to
-//! the single-threaded [`engine::StorageEngine`] (pinned by
-//! `tests/equivalence.rs`).  N clients share one
-//! [`concurrent::ConcurrentEngine`] through per-client
-//! [`concurrent::ClientSession`] handles (each recording its own commit
-//! stream), driven by `workloads::MultiClientDriver`.
+//! There is one engine, [`engine::StorageEngine`].  Its buffer pool is a
+//! [`shard::ShardedBufferPool`]: plain [`buffer::BufferPool`] shards routed
+//! by `page_id % shards`, each with its own clock hand, dirty bitmap,
+//! resident table, miss-fill read window and db-writer pool.
+//! [`engine::StorageEngine::new`] builds the 1-shard case, which is exactly
+//! one plain pool of the requested size.
 //!
-//! * **Sharded buffer pool** ([`shard::ShardedBufferPool`]) — the pool is
-//!   partitioned by page id, one `parking_lot`-latched [`buffer::BufferPool`]
-//!   per shard with its own clock hand, dirty bitmap, resident table and
-//!   miss-fill read window; [`shard::ShardedPoolView`] implements the
-//!   [`buffer::PageCache`] trait the heap/B+-tree/readahead code is generic
-//!   over, latching exactly the shard owning each accessed page.  A 1-shard
-//!   pool is a plain `BufferPool` behind one latch — identical traces.
-//! * **Latch order** — the engine-level locks form one total order:
-//!   catalog → transactions → free-space → WAL → flushers → backend →
-//!   shard 0 → shard 1 → … .  Every code path acquires along that order
-//!   (shard latches last, at most one at a time on the page-access path),
-//!   so the lock graph is acyclic.
-//! * **Single-writer invariants** — `noftl-core`'s mapping and region tables
-//!   split cleanly into `&self` readers and `&mut self` writers, so
-//!   concurrent readers share them under an `RwLock` while device-state
-//!   mutation stays single-writer behind the backend lock.  WAL force order
-//!   under concurrent commits is serialised by the WAL lock: commit records
-//!   append and force in lock-acquisition order, giving each client a
-//!   serializable commit prefix.
-//! * **Quiesce/checkpoint barrier** — `ConcurrentEngine::quiesce` drains
-//!   *every* shard's flusher windows and miss-fill read window (plus WAL
-//!   window and device queues) before `checkpoint` lets the WAL checkpoint
-//!   record land, so the record can never predate an in-flight write of any
-//!   shard.
+//! [`concurrent::ConcurrentEngine`] is the multi-client embedding of that
+//! same engine, in the shape of a single-user database backend with a thin
+//! multi-client shell around it: it builds the engine with one shard per
+//! client and keeps it behind one mutex.  N clients drive it through
+//! per-client [`concurrent::ClientSession`] handles (each recording its own
+//! commit stream), driven by `workloads::MultiClientDriver` in
+//! deterministic or OS-thread mode.  Every handle operation locks the
+//! engine, forwards to the one op body, and unlocks.
+//!
+//! * **One lock** — the engine mutex is the only lock in the crate.  It is
+//!   taken once per operation and never nested, so the lock graph has no
+//!   edges and the engine cannot deadlock (`noftl-lint`'s latch-order pass
+//!   checks this from the code).  Nothing is lost by serialising whole
+//!   operations: the device model is single-writer on the virtual clock,
+//!   and every operation that touches a page or the device needs the
+//!   backend for its whole page-access phase.
+//! * **What clients share** — pool frames, WAL bandwidth, flusher capacity
+//!   and the per-die device queues.  With more than one shard the backend
+//!   switches to gap-backfilling occupancy, so a laggard client is not
+//!   charged queue-wait on resources that were idle at its submission
+//!   instant.  WAL force order is the lock acquisition order, giving each
+//!   client a serializable commit prefix.
+//! * **Quiesce/checkpoint barrier** — `quiesce` drains *every* shard's
+//!   flusher windows and miss-fill read window (plus WAL window and device
+//!   queues) before `checkpoint` lets the WAL checkpoint record land, so
+//!   the record can never predate an in-flight write of any shard.
 //!
 //! ## Overload and scheduling (PR 9)
 //!
@@ -278,6 +279,6 @@ pub use flusher::{FlusherConfig, FlusherStats, ThrottleStats};
 pub use heap::{HeapFile, Rid};
 pub use ops::EngineOps;
 pub use page::{PageId, SlottedPage};
-pub use shard::{ShardedBufferPool, ShardedPoolView};
+pub use shard::ShardedBufferPool;
 pub use transaction::{AdmissionConfig, AdmissionControl, AdmissionStats, TxnId, TxnState};
 pub use wal::{LogRecord, Lsn, WalManager};

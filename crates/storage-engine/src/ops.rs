@@ -1,10 +1,11 @@
 //! The transactional operation surface workloads drive an engine through.
 //!
-//! [`EngineOps`] abstracts over the single-threaded [`StorageEngine`] and a
+//! [`EngineOps`] abstracts over the [`StorageEngine`] itself and a
 //! [`crate::concurrent::ClientSession`] handle onto the shared
 //! [`crate::concurrent::ConcurrentEngine`], so the TPC drivers
 //! (`workloads::TpcB`, `workloads::TpcC`) run unchanged against either: one
-//! logical client over one engine, or N sessions over one engine.
+//! logical client over one engine, or N sessions over one engine behind a
+//! mutex.
 //!
 //! The closure-taking entry points (`scan`, `index_range`) take `&mut dyn
 //! FnMut` rather than a generic parameter so the trait stays object-safe —

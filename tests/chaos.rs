@@ -24,9 +24,10 @@ use noftl::nand_flash::fault::FaultPlan;
 use noftl::nand_flash::{DeviceConfig, FlashError, FlashGeometry, NandDevice};
 use noftl::noftl_core::{NoFtl, NoFtlConfig, RedundancyPolicy};
 use noftl::sim_utils::time::SimInstant;
-use noftl::storage_engine::backend::NoFtlBackend;
+use noftl::storage_engine::backend::{NoFtlBackend, StorageBackend};
 use noftl::storage_engine::{
-    EngineConfig, FlusherConfig, LogRecord, StorageEngine, WalManager,
+    ClientSession, ConcurrentEngine, EngineConfig, EngineOps, FlusherConfig, LogRecord,
+    StorageEngine, WalManager,
 };
 use noftl::workloads::{
     BenchmarkDriver, DriverConfig, TpcB, TpcBConfig, TpcC, TpcCConfig, Workload,
@@ -459,6 +460,15 @@ fn redundant_engine_with_frames(
     depth: usize,
     buffer_frames: usize,
 ) -> StorageEngine {
+    StorageEngine::new(
+        Box::new(redundant_backend(policy, depth)),
+        redundant_config(depth, buffer_frames),
+    )
+}
+
+/// The NoFTL backend of [`redundant_engine`]: `policy` on every region, an
+/// inert fault plan, queues at `depth`.
+fn redundant_backend(policy: RedundancyPolicy, depth: usize) -> NoFtlBackend {
     let geometry = FlashGeometry::small();
     let mut cfg = NoFtlConfig::new(geometry);
     cfg.async_queue_depth = depth;
@@ -469,8 +479,11 @@ fn redundant_engine_with_frames(
     dev_cfg.faults = Some(quiet_plan());
     let mut noftl = NoFtl::with_device(NandDevice::new(dev_cfg), cfg);
     noftl.set_redundancy_all(policy);
-    let backend = NoFtlBackend::new(noftl);
+    NoFtlBackend::new(noftl)
+}
 
+/// The engine configuration of [`redundant_engine`], SLO scheduling on.
+fn redundant_config(depth: usize, buffer_frames: usize) -> EngineConfig {
     let mut ecfg = EngineConfig::new();
     ecfg.buffer_frames = buffer_frames;
     ecfg.log_pages = LOG_PAGES;
@@ -479,18 +492,13 @@ fn redundant_engine_with_frames(
     ecfg.flushers = flushers;
     ecfg.readahead_window = 16;
     ecfg.slo_scheduling = true;
-    StorageEngine::new(Box::new(backend), ecfg)
+    ecfg
 }
 
 /// Mutable access to the embedded NoFTL (via the backend downcast hook), for
 /// arming the kill plan mid-run and draining the rebuild.
 fn noftl_mut_of(engine: &mut StorageEngine) -> &mut NoFtl {
-    engine
-        .backend_mut()
-        .as_any_mut()
-        .and_then(|a| a.downcast_mut::<NoFtlBackend>())
-        .expect("chaos engines run on the NoFTL backend")
-        .noftl_mut()
+    noftl_mut_of_backend(engine.backend_mut())
 }
 
 /// Run the online rebuild to completion and return the finish time.
@@ -747,6 +755,60 @@ fn die_loss_without_redundancy_fails_typed_and_counts_losses() {
         n.rebuild_stats().pages_lost,
         "the loss counter must match the typed read failures exactly"
     );
+}
+
+/// The online rebuild also runs on the concurrent engine: a die killed
+/// under two sessions of a 2-shard engine is re-homed by the background
+/// hook of `maybe_flush`, step by step, with no page lost.
+#[test]
+fn concurrent_engine_rebuilds_a_dead_die_in_the_background() {
+    let engine = ConcurrentEngine::new(
+        Box::new(redundant_backend(RedundancyPolicy::Parity(3), 1)),
+        redundant_config(1, 48),
+        2,
+    );
+    let mut clients: Vec<(ClientSession, TpcB)> = (0..2)
+        .map(|c| {
+            let config = TpcBConfig {
+                scale_factor: 1,
+                tellers_per_branch: 10,
+                accounts_per_branch: 200,
+                seed: 0xD1E5EED + c,
+            };
+            (engine.session(), TpcB::with_prefix(config, format!("c{c}_")))
+        })
+        .collect();
+    let mut now = 0;
+    for (session, w) in clients.iter_mut() {
+        now = w.setup(session, now).expect("load");
+    }
+    let mut storm = |now: &mut SimInstant, txns: usize| {
+        for i in 0..txns {
+            let (session, w) = &mut clients[i % 2];
+            let (t, _) = w.run_transaction(session, 0, *now).expect("transaction");
+            *now = session.maybe_flush(t).expect("flush").max(t);
+        }
+    };
+    storm(&mut now, 20);
+    engine.with_backend(|b| noftl_mut_of_backend(b).set_fault_plan(Some(kill_plan(1))));
+    storm(&mut now, 60);
+    engine.with_backend(|b| {
+        let n = noftl_mut_of_backend(b);
+        assert!(n.any_die_dead(), "the kill must actually have fired");
+        let rb = n.rebuild_stats();
+        assert!(rb.rebuild_scheduled > 0, "maybe_flush must offer rebuild steps: {rb:?}");
+        assert!(rb.pages_rebuilt > 0, "the dead die held mapped pages to re-home");
+        assert_eq!(rb.pages_lost, 0, "parity must recover every lost page");
+    });
+}
+
+/// The NoFTL core behind a chaos backend.
+fn noftl_mut_of_backend(backend: &mut dyn StorageBackend) -> &mut NoFtl {
+    backend
+        .as_any_mut()
+        .and_then(|a| a.downcast_mut::<NoFtlBackend>())
+        .expect("chaos engines run on the NoFTL backend")
+        .noftl_mut()
 }
 
 /// Smoke: one die-kill rebuild storm on `Parity(3)` regions, at depth 8

@@ -17,6 +17,12 @@
 //! flush traffic).  The same runs with batch size 0 and 1 — for die-wise
 //! writers, batching global writers and the WAL — must hash alike.
 //!
+//! A read-mix row drives eight scan/point sessions of one eight-shard
+//! concurrent engine through the deterministic multi-client driver at the
+//! `readmix-8c` benchmark settings (depth-8 queues, readahead, a non-zero
+//! buffer-hit cost) and also hashes every session's commit stream and the
+//! per-shard buffer and readahead counters.
+//!
 //! The Quick-scale table text of Figure 3, Figure 4 (TPC-C and TPC-B die
 //! sweeps plus the queue-depth x host-link sweep) and the headline
 //! throughput comparison, built with every `NOFTL_*` knob unset, is hashed
@@ -29,7 +35,9 @@
 use noftl::nand_flash::FlashGeometry;
 use noftl::noftl_core::{FlusherAssignment, NoFtl, NoFtlConfig};
 use noftl::sim_utils::time::SimInstant;
-use noftl::storage_engine::backend::{BackendCounters, Knobs, NoFtlBackend, StorageBackend};
+use noftl::storage_engine::backend::{
+    BackendCounters, Knobs, NoFtlBackend, StorageBackend, DEFAULT_BATCH_PAGES,
+};
 use noftl::storage_engine::buffer::BufferStats;
 use noftl::storage_engine::{
     ConcurrentEngine, EngineConfig, EngineOps, FlusherConfig, StorageEngine,
@@ -37,17 +45,21 @@ use noftl::storage_engine::{
 use noftl::workloads::tpcb::{TpcB, TpcBConfig};
 use noftl::workloads::tpcc::{TpcC, TpcCConfig};
 use noftl::workloads::workload::Workload;
+use noftl::workloads::{ClientWorkload, DriveMode, MultiClientConfig, MultiClientDriver};
+use noftl_bench::client_scaling::{MixConfig, ScanPointMix};
 use noftl_bench::dbwriters::{
     render_depth_link_table, render_table as render_fig4, run_dbwriter_scaling,
     run_depth_link_sweep,
 };
 use noftl_bench::gc_overhead::{render_table as render_fig3, run_gc_overhead};
-use noftl_bench::setup::{Benchmark, Scale};
+use noftl_bench::setup::{geometry_for_pages, Benchmark, Scale};
 use noftl_bench::throughput::{render_table as render_headline, run_headline};
 
 const TPCC_DIGEST: u64 = 0x5082_1872_2baa_2268;
 const TPCB_DIGEST: u64 = 0x3aa8_785c_48df_fbb2;
 const TPCB_SHARDED_DIGEST: u64 = 0xe682_0a57_45c2_43b6;
+/// Eight read-mix sessions on an eight-shard concurrent engine.
+const READMIX_DIGEST: u64 = 0x874a_add0_157b_6f0f;
 /// (TPC-C, TPC-B) with die-wise writers and the WAL at batch size 0 or 1.
 const DIE_WISE_BATCH_DIGESTS: (u64, u64) = (0x885d_26a0_27e3_ccff, 0x3f84_8adb_7549_82d9);
 /// (TPC-C, TPC-B) with batching global writers and the WAL at batch size 0
@@ -162,6 +174,14 @@ fn digest<E: Probe>(mut engine: E, workload: &mut dyn Workload<E>, txns: usize) 
     }
     let mut h = Fnv::new();
     h.u64(now);
+    hash_end_state(&mut engine, &mut h, now, LOG_PAGES);
+    h.0
+}
+
+/// Hash the buffer-pool counters at `now`, then checkpoint and hash the end
+/// time, the backend counters and every page image, the `log_pages` WAL
+/// pages first.
+fn hash_end_state<E: Probe>(engine: &mut E, h: &mut Fnv, now: SimInstant, log_pages: u64) {
     let stats = engine.buffer_stats();
     for v in [
         stats.hits,
@@ -188,7 +208,7 @@ fn digest<E: Probe>(mut engine: E, workload: &mut dyn Workload<E>, txns: usize) 
         let pages = backend.num_pages();
         let mut buf = vec![0u8; backend.page_size()];
         // WAL pages first, then every page of the address space.
-        for lpn in (pages - LOG_PAGES..pages).chain(0..pages) {
+        for lpn in (pages - log_pages..pages).chain(0..pages) {
             match backend.read_page(end, lpn, &mut buf) {
                 Ok(_) => {
                     h.u64(lpn);
@@ -198,7 +218,6 @@ fn digest<E: Probe>(mut engine: E, workload: &mut dyn Workload<E>, txns: usize) 
             }
         }
     });
-    h.0
 }
 
 fn tpcc_workload() -> TpcC {
@@ -243,6 +262,93 @@ fn tpcc_and_tpcb_on_noftl_match_the_golden_digest() {
         (TPCC_DIGEST, TPCB_DIGEST, TPCB_SHARDED_DIGEST),
         "golden digest moved: (tpcc, tpcb, tpcb_sharded) = \
          ({tpcc:#018x}, {tpcb:#018x}, {tpcb_sharded:#018x})"
+    );
+}
+
+/// Eight `ScanPointMix` sessions, each on a private table, over one
+/// eight-shard concurrent engine at the `readmix-8c` benchmark settings,
+/// stepped laggard-first by the deterministic multi-client driver.
+fn readmix_digest() -> u64 {
+    const SESSIONS: usize = 8;
+    let mut noftl = NoFtlConfig::new(geometry_for_pages(SESSIONS as u64 * 540 + 512, 0.55, 8));
+    noftl.async_queue_depth = 8;
+    let config = EngineConfig {
+        buffer_frames: 64 * SESSIONS,
+        flushers: FlusherConfig {
+            writers: 8,
+            assignment: FlusherAssignment::DieWise,
+            dirty_high_watermark: 0.5,
+            dirty_low_watermark: 0.1,
+            batch_pages: DEFAULT_BATCH_PAGES,
+            batch_global: false,
+            async_depth: 8,
+        },
+        log_pages: 256,
+        wal_group_commit: 64,
+        readahead_window: 16,
+        buffer_hit_ns: 2_000,
+        admission: None,
+        slo_scheduling: false,
+    };
+    let log_pages = config.log_pages;
+    let mut engine = ConcurrentEngine::new(
+        Box::new(NoFtlBackend::new(NoFtl::new(noftl))),
+        config,
+        SESSIONS,
+    );
+    let mixes: Vec<ClientWorkload> = (0..SESSIONS)
+        .map(|i| -> ClientWorkload {
+            let mut cfg = MixConfig::new(0x601D ^ ((i as u64) << 32));
+            // 120 pages a session: the eight tables are twice the pool.
+            cfg.rows = 1_200;
+            Box::new(ScanPointMix::with_prefix(cfg, format!("c{i}_")))
+        })
+        .collect();
+    let report = MultiClientDriver::new(MultiClientConfig {
+        transactions_per_client: 48,
+        warmup_per_client: 8,
+        mode: DriveMode::Deterministic,
+    })
+    .run(&engine, mixes, 0)
+    .expect("read mix");
+
+    let mut h = Fnv::new();
+    let mut now = 0;
+    for client in &report.clients {
+        h.u64(client.start);
+        h.u64(client.end);
+        now = now.max(client.end);
+        for &(txn, at) in &client.commits {
+            h.u64(txn);
+            h.u64(at);
+        }
+    }
+    h.u64(now);
+    let ra = engine.readahead_stats();
+    assert!(ra.prefetch_issued > 0, "the read mix must exercise readahead");
+    for v in [
+        ra.prefetch_issued,
+        ra.prefetch_useful,
+        ra.prefetch_wasted,
+        ra.window_high_water as u64,
+    ] {
+        h.u64(v);
+    }
+    for shard in engine.shard_buffer_stats() {
+        for v in [shard.hits, shard.misses, shard.evictions, shard.dirty_evictions] {
+            h.u64(v);
+        }
+    }
+    hash_end_state(&mut engine, &mut h, now, log_pages);
+    h.0
+}
+
+#[test]
+fn concurrent_read_mix_matches_the_golden_digest() {
+    let got = readmix_digest();
+    assert_eq!(
+        got, READMIX_DIGEST,
+        "golden digest moved: readmix = {got:#018x}"
     );
 }
 
